@@ -57,7 +57,6 @@ pub fn build_collection_indexes(
         profiles: true,
         subgraphs: false,
         threads: inner_threads,
-        csr: opts.csr,
         prop_index: opts.prop_index,
     };
     let indexes = gql_core::par_map_index(graphs.len(), workers, |i| {

@@ -57,6 +57,8 @@ fn bench_clique_space_steps(c: &mut Criterion) {
                     &w.graph,
                     &w.index,
                     gql_match::LocalPruning::Profiles { radius: 1 },
+                    1,
+                    None,
                 )
             })
         });
@@ -67,6 +69,8 @@ fn bench_clique_space_steps(c: &mut Criterion) {
                     &w.graph,
                     &w.index,
                     gql_match::LocalPruning::Subgraphs { radius: 1 },
+                    1,
+                    None,
                 )
             })
         });
@@ -75,11 +79,21 @@ fn bench_clique_space_steps(c: &mut Criterion) {
             &w.graph,
             &w.index,
             gql_match::LocalPruning::Profiles { radius: 1 },
-        );
+            1,
+            None,
+        )
+        .0;
         group.bench_function("refine", |b| {
             b.iter(|| {
                 let mut m = mates.clone();
-                gql_match::refine_search_space(&pattern, &w.graph, &mut m, pattern.node_count())
+                gql_match::refine_search_space(
+                    &pattern,
+                    &w.index,
+                    &mut m,
+                    pattern.node_count(),
+                    1,
+                    None,
+                )
             })
         });
     }

@@ -72,7 +72,6 @@ fn bench_end_to_end(c: &mut Criterion) {
                 profiles: true,
                 subgraphs: false,
                 threads: 1,
-                csr: true,
                 prop_index,
             },
         )

@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gql_bench::workload::Workload;
 use gql_match::{
-    feasible_mates_par, feasible_mates_reference, refine_search_space_par,
-    refine_search_space_reference, LocalPruning, Pattern,
+    feasible_mates, feasible_mates_reference, refine_search_space, refine_search_space_reference,
+    LocalPruning, Pattern,
 };
 
 const PRUNING: LocalPruning = LocalPruning::Profiles { radius: 1 };
@@ -33,7 +33,7 @@ fn bench_search_space_build(c: &mut Criterion) {
         b.iter(|| feasible_mates_reference(&p, &w.graph, &w.index, PRUNING))
     });
     group.bench_function("interned", |b| {
-        b.iter(|| feasible_mates_par(&p, &w.graph, &w.index, PRUNING, 1))
+        b.iter(|| feasible_mates(&p, &w.graph, &w.index, PRUNING, 1, None).0)
     });
     group.finish();
 }
@@ -42,7 +42,7 @@ fn bench_search_space_build(c: &mut Criterion) {
 /// kernel vs bitset kernel at 1/2/8 workers.
 fn bench_refine_kernel(c: &mut Criterion) {
     let (w, p) = workload_and_query();
-    let base = feasible_mates_par(&p, &w.graph, &w.index, PRUNING, 1);
+    let base = feasible_mates(&p, &w.graph, &w.index, PRUNING, 1, None).0;
     let level = p.node_count();
     let mut group = c.benchmark_group("refine_kernel");
     group.warm_up_time(std::time::Duration::from_millis(500));
@@ -60,7 +60,7 @@ fn bench_refine_kernel(c: &mut Criterion) {
             |b, &threads| {
                 b.iter(|| {
                     let mut mates = base.clone();
-                    refine_search_space_par(&p, &w.graph, &mut mates, level, threads)
+                    refine_search_space(&p, &w.index, &mut mates, level, threads, None)
                 })
             },
         );
@@ -84,8 +84,8 @@ fn bench_build_and_refine(c: &mut Criterion) {
     });
     group.bench_function("interned", |b| {
         b.iter(|| {
-            let mut mates = feasible_mates_par(&p, &w.graph, &w.index, PRUNING, 1);
-            refine_search_space_par(&p, &w.graph, &mut mates, level, 1)
+            let mut mates = feasible_mates(&p, &w.graph, &w.index, PRUNING, 1, None).0;
+            refine_search_space(&p, &w.index, &mut mates, level, 1, None)
         })
     });
     group.finish();

@@ -499,7 +499,7 @@ pub struct RefineBenchRow {
 
 fn bench_refine_one(name: &str, w: &Workload, queries: &[Graph], threads: usize) -> RefineBenchRow {
     use gql_match::{
-        feasible_mates_par, feasible_mates_reference, refine_search_space_par,
+        feasible_mates, feasible_mates_reference, refine_search_space,
         refine_search_space_reference, search, LocalPruning, Pattern, SearchConfig,
     };
     let pruning = LocalPruning::Profiles { radius: 1 };
@@ -525,9 +525,9 @@ fn bench_refine_one(name: &str, w: &Workload, queries: &[Graph], threads: usize)
         let mut spaces = Vec::new();
         let mut removed = 0u64;
         for p in &patterns {
-            let mut mates = feasible_mates_par(p, &w.graph, &w.index, pruning, threads);
+            let mut mates = feasible_mates(p, &w.graph, &w.index, pruning, threads, None).0;
             removed +=
-                refine_search_space_par(p, &w.graph, &mut mates, p.node_count(), threads).removed;
+                refine_search_space(p, &w.index, &mut mates, p.node_count(), threads, None).removed;
             spaces.push(mates);
         }
         (t.elapsed().as_secs_f64() * 1e6, removed, spaces)
@@ -546,21 +546,9 @@ fn bench_refine_one(name: &str, w: &Workload, queries: &[Graph], threads: usize)
         "RefineStats.removed diverged on {name}"
     );
 
-    // The refined spaces are identical, so search effort is too; count
-    // it once per path and assert.
+    // The refined spaces are identical, so search effort is too: count
+    // it once.
     let steps: u64 = patterns
-        .iter()
-        .zip(&spaces_ref)
-        .map(|(p, mates)| {
-            let order: Vec<usize> = (0..p.node_count()).collect();
-            let cfg = SearchConfig {
-                max_matches: 1000,
-                ..SearchConfig::default()
-            };
-            search(p, &w.graph, mates, &order, &cfg).steps
-        })
-        .sum();
-    let steps_fast: u64 = patterns
         .iter()
         .zip(&spaces_fast)
         .map(|(p, mates)| {
@@ -569,10 +557,9 @@ fn bench_refine_one(name: &str, w: &Workload, queries: &[Graph], threads: usize)
                 max_matches: 1000,
                 ..SearchConfig::default()
             };
-            gql_match::search_indexed(p, &w.graph, Some(&w.index), mates, &order, &cfg).steps
+            search(p, &w.graph, &w.index, None, mates, &order, &cfg).steps
         })
         .sum();
-    assert_eq!(steps, steps_fast, "search_steps diverged on {name}");
 
     RefineBenchRow {
         name: name.to_string(),
@@ -841,225 +828,6 @@ pub fn print_total_rows(title: &str, xlabel: &str, rows: &[TotalRow]) {
 
 const _: () = assert!(LOW_HITS < MAX_HITS);
 
-// ------------------------------------------------------------ CSR bench
-
-/// One CSR-vs-`Vec`-adjacency comparison (a `BENCH_csr.json` row):
-/// batch wall-clock of the full optimized pipeline over an index
-/// carrying the CSR snapshot vs one without it.
-#[derive(Debug, Clone)]
-pub struct CsrBenchRow {
-    /// Workload name.
-    pub name: String,
-    /// Queries timed.
-    pub queries: usize,
-    /// Total answers across the batch (identical for both paths by
-    /// construction).
-    pub hits: usize,
-    /// DFS extension attempts (identical for both paths by
-    /// construction).
-    pub steps: u64,
-    /// Batch wall-clock over the `Vec`-adjacency index, µs.
-    pub vec_us: f64,
-    /// Batch wall-clock over the CSR-carrying index, µs.
-    pub csr_us: f64,
-    /// `vec_us / csr_us`.
-    pub speedup: f64,
-}
-
-fn bench_csr_one(
-    name: &str,
-    graph: &Graph,
-    candidates: &[Graph],
-    take: usize,
-    threads: usize,
-) -> CsrBenchRow {
-    use gql_match::{match_pattern, GraphIndex, IndexOptions, Pattern};
-    let build = |csr| {
-        GraphIndex::build_with(
-            graph,
-            &IndexOptions {
-                radius: 1,
-                profiles: true,
-                subgraphs: false,
-                threads,
-                csr,
-                prop_index: true,
-            },
-        )
-    };
-    let index_vec = build(false);
-    let index_csr = build(true);
-
-    // The CSR snapshot targets the adjacency-bound phases (search edge
-    // probes, refinement), so time the search-heavy queries of the
-    // candidate pool — the paper's high-hits class — rather than ones
-    // whose cost is all label-bucket retrieval (identical either way).
-    let mut pool: Vec<(u64, &Graph)> = candidates
-        .iter()
-        .map(|q| {
-            let mut opts = Configs::optimized();
-            opts.max_matches = MAX_HITS + 1;
-            opts.time_limit = Some(Duration::from_secs(10));
-            let rep = match_pattern(&Pattern::structural(q.clone()), graph, &index_csr, &opts);
-            (rep.search_steps, q)
-        })
-        .collect();
-    pool.sort_by_key(|&(steps, _)| std::cmp::Reverse(steps));
-    let patterns: Vec<Pattern> = pool
-        .iter()
-        .take(take)
-        .map(|&(_, q)| Pattern::structural(q.clone()))
-        .collect();
-    let mut opts = Configs::optimized();
-    opts.threads = threads;
-    opts.max_matches = MAX_HITS + 1;
-    opts.time_limit = Some(Duration::from_secs(10));
-    // The baseline-space ratio re-runs retrieval with NodeAttributes
-    // pruning per query — pure reporting overhead, identical on both
-    // paths; skip it so the timing reflects the match pipeline itself.
-    opts.report_baseline_space = false;
-
-    // One timed sample = 3 passes over the batch (µs reported per
-    // pass): long enough that a scheduler preemption spike inflates a
-    // sample by a bounded fraction instead of dwarfing it.
-    const PASSES: u32 = 3;
-    let time = |index: &GraphIndex| {
-        let t = std::time::Instant::now();
-        let mut mappings = Vec::new();
-        let mut steps = 0u64;
-        for _ in 0..PASSES {
-            mappings.clear();
-            steps = 0;
-            for p in &patterns {
-                let rep = match_pattern(p, graph, index, &opts);
-                steps += rep.search_steps;
-                mappings.push(rep.mappings);
-            }
-        }
-        (
-            t.elapsed().as_secs_f64() * 1e6 / f64::from(PASSES),
-            steps,
-            mappings,
-        )
-    };
-
-    // Untimed warm-up, then 9 *interleaved* timed samples per path,
-    // keeping the min of each: alternating vec/csr samples the same
-    // load conditions for both, and the min is robust against
-    // scheduler noise and frequency drift on a shared container.
-    let _ = time(&index_vec);
-    let _ = time(&index_csr);
-    let (mut vec_us, steps_vec, maps_vec) = time(&index_vec);
-    let (mut csr_us, steps_csr, maps_csr) = time(&index_csr);
-    for _ in 0..8 {
-        vec_us = vec_us.min(time(&index_vec).0);
-        csr_us = csr_us.min(time(&index_csr).0);
-    }
-
-    // Untimed per-phase breakdown on request (diagnosis aid; stderr so
-    // it never lands in redirected table/JSON output).
-    if std::env::var_os("CSR_BENCH_PHASES").is_some() {
-        for index in [&index_vec, &index_csr] {
-            let mut phases = [Duration::ZERO; 4];
-            for p in &patterns {
-                let rep = match_pattern(p, graph, index, &opts);
-                phases[0] += rep.timings.retrieve;
-                phases[1] += rep.timings.refine;
-                phases[2] += rep.timings.order;
-                phases[3] += rep.timings.search;
-            }
-            eprintln!(
-                "# {name} csr={} retrieve={:.0}us refine={:.0}us order={:.0}us search={:.0}us",
-                index.csr().is_some(),
-                phases[0].as_secs_f64() * 1e6,
-                phases[1].as_secs_f64() * 1e6,
-                phases[2].as_secs_f64() * 1e6,
-                phases[3].as_secs_f64() * 1e6,
-            );
-        }
-    }
-    assert_eq!(maps_vec, maps_csr, "CSR kernels changed results on {name}");
-    assert_eq!(steps_vec, steps_csr, "search_steps diverged on {name}");
-
-    CsrBenchRow {
-        name: name.to_string(),
-        queries: patterns.len(),
-        hits: maps_vec.iter().map(Vec::len).sum(),
-        steps: steps_vec,
-        vec_us,
-        csr_us,
-        speedup: vec_us / csr_us,
-    }
-}
-
-/// CSR snapshot vs `Vec`-adjacency kernels for the full optimized
-/// pipeline on one PPI clique workload and one synthetic subgraph
-/// workload. Asserts mappings and search steps are identical before
-/// reporting the timing delta.
-pub fn bench_csr(scale: Scale, threads: usize) -> Vec<CsrBenchRow> {
-    let threads = gql_core::resolve_threads(threads);
-    let nq = match scale {
-        Scale::Quick => 8,
-        Scale::Full => 40,
-    };
-    let mut rows = Vec::new();
-    let ppi = gql_datagen::ppi_network(&gql_datagen::PpiConfig::default());
-    rows.push(bench_csr_one(
-        "ppi_clique_4",
-        &ppi,
-        &gql_datagen::clique_queries(&ppi, 4, nq * 10, 0x4EF1),
-        nq,
-        threads,
-    ));
-    let syn = gql_datagen::erdos_renyi(&gql_datagen::ErConfig::paper_default(10_000, 0x5eed));
-    rows.push(bench_csr_one(
-        "synthetic10k_subgraph_8",
-        &syn,
-        &gql_datagen::subgraph_queries(&syn, 8, nq * 10, 0x4EF2),
-        nq,
-        threads,
-    ));
-    rows
-}
-
-/// Renders [`bench_csr`] rows as the machine-readable `BENCH_csr.json`
-/// document.
-pub fn csr_bench_json(scale: Scale, threads: usize, rows: &[CsrBenchRow]) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"machine_cores\": {cores},\n"));
-    s.push_str(&format!(
-        "  \"threads\": {},\n",
-        gql_core::resolve_threads(threads)
-    ));
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        if scale == Scale::Full {
-            "full"
-        } else {
-            "quick"
-        }
-    ));
-    s.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"queries\": {}, \"hits\": {}, \"steps\": {}, \"vec_us\": {:.1}, \"csr_us\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.name,
-            r.queries,
-            r.hits,
-            r.steps,
-            r.vec_us,
-            r.csr_us,
-            r.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-// -------------------------------------------------------- trace bench
-
 /// One tracing-overhead comparison (a `BENCH_obs_overhead.json` row):
 /// batch wall-clock of the full optimized pipeline with the trace sink
 /// absent and attached. The disabled path is sampled twice
@@ -1247,21 +1015,6 @@ pub fn print_trace_rows(title: &str, rows: &[TraceBenchRow]) {
     }
 }
 
-/// Prints a CSR-bench table.
-pub fn print_csr_rows(title: &str, rows: &[CsrBenchRow]) {
-    println!("\n{title}");
-    println!(
-        "{:>26} {:>8} {:>6} {:>10} {:>14} {:>14} {:>8}",
-        "workload", "queries", "hits", "steps", "vec (µs)", "csr (µs)", "speedup"
-    );
-    for r in rows {
-        println!(
-            "{:>26} {:>8} {:>6} {:>10} {:>14.1} {:>14.1} {:>7.2}x",
-            r.name, r.queries, r.hits, r.steps, r.vec_us, r.csr_us, r.speedup
-        );
-    }
-}
-
 // ------------------------------------------------------ planner bench
 
 /// One plan-cache comparison (a `BENCH_planner.json` row): batch
@@ -1306,14 +1059,22 @@ fn bench_planner_one(
     take: usize,
     threads: usize,
 ) -> PlannerBenchRow {
-    use gql_match::{match_pattern, GraphIndex, MatchOptions, Pattern, Planner, RefineLevel};
+    use gql_match::{
+        match_pattern, GraphIndex, IndexOptions, MatchOptions, Pattern, Planner, RefineLevel,
+    };
     use std::sync::Arc;
-    let index = GraphIndex::build_with_profiles_par(graph, 1, threads);
+    let index = GraphIndex::build_with(
+        graph,
+        &IndexOptions {
+            threads,
+            ..IndexOptions::default()
+        },
+    );
 
     // The plan cache targets the per-query planning overhead (edge-plan
     // construction, join-order optimization, cardinality estimation),
-    // so — like the CSR bench — time the search-heavy queries of the
-    // candidate pool where a planning mistake would also show up.
+    // so time the search-heavy queries of the candidate pool where a
+    // planning mistake would also show up.
     let mut pool: Vec<(u64, &Graph)> = candidates
         .iter()
         .map(|q| {
@@ -1622,7 +1383,6 @@ fn bench_propindex_one(
                 profiles: true,
                 subgraphs: false,
                 threads,
-                csr: true,
                 prop_index,
             },
         )

@@ -74,7 +74,7 @@ pub enum ProfileFormat {
 pub enum Command {
     /// `gql run <program> [--data NAME=PATH]... [--threads N]
     /// [--profile[=json]] [--explain[=json]] [--trace FILE]
-    /// [--slow-ms N] [--metrics FILE] [--metrics-addr ADDR] [--no-csr]`
+    /// [--slow-ms N] [--metrics FILE] [--metrics-addr ADDR]`
     Run {
         /// Program file path.
         program: String,
@@ -103,9 +103,6 @@ pub enum Command {
         /// external scraper can read the final state. Requires
         /// `--metrics-addr`.
         metrics_linger_ms: Option<u64>,
-        /// Attach the CSR adjacency snapshot to built indexes
-        /// (`--no-csr` turns it off; results are identical).
-        csr: bool,
         /// Build sorted secondary property indexes so attribute
         /// predicates retrieve by index probe (`--no-prop-index` turns
         /// it off; results are identical).
@@ -132,7 +129,7 @@ pub enum Command {
         verify: bool,
     },
     /// `gql match --graph PATH --pattern PATH [--baseline] [--first]
-    /// [--threads N] [--no-csr] [--no-plan-cache] [--adaptive on|off]`
+    /// [--threads N] [--no-prop-index] [--no-plan-cache] [--adaptive on|off]`
     Match {
         /// Data graph file.
         graph: String,
@@ -145,9 +142,6 @@ pub enum Command {
         /// Worker threads for index build and search (0 = available
         /// cores).
         threads: usize,
-        /// Attach the CSR adjacency snapshot to the index (`--no-csr`
-        /// turns it off; results are identical).
-        csr: bool,
         /// Build sorted secondary property indexes so attribute
         /// predicates retrieve by index probe (`--no-prop-index` turns
         /// it off; results are identical).
@@ -177,11 +171,11 @@ gql — Graphs-at-a-time query language (He & Singh, SIGMOD 2008)
 USAGE:
     gql run <program.gql> [--data NAME=PATH]... [--threads N] [--profile[=json]]
             [--explain[=json]] [--trace FILE] [--slow-ms N] [--metrics FILE]
-            [--metrics-addr ADDR] [--metrics-linger-ms N] [--no-csr]
-            [--no-prop-index] [--no-plan-cache] [--adaptive on|off]
+            [--metrics-addr ADDR] [--metrics-linger-ms N] [--no-prop-index]
+            [--no-plan-cache] [--adaptive on|off]
             [--data-dir DIR] [--checkpoint] [--no-mmap] [--verify-checkpoint]
     gql match --graph <data.gql> --pattern <pattern.gql> [--baseline] [--first] [--threads N]
-            [--no-csr] [--no-prop-index] [--no-plan-cache] [--adaptive on|off]
+            [--no-prop-index] [--no-plan-cache] [--adaptive on|off]
     gql sql   --graph <data.gql> --pattern <pattern.gql>
     gql help
 
@@ -227,11 +221,6 @@ Serving telemetry never changes query results.
 `--metrics-linger-ms N` (requires --metrics-addr) keeps the endpoints
 alive N milliseconds after the program completes so a scraper can
 collect the final state.
-
-`--no-csr` skips the CSR adjacency snapshot when building graph indexes,
-dropping search/refinement/profile construction back to the plain
-adjacency-list kernels. Results are identical; the flag exists to
-compare performance and as an escape hatch.
 
 `--no-prop-index` skips the sorted secondary property indexes, so
 equality and range predicates on node attributes are evaluated by
@@ -312,7 +301,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             let mut metrics = None;
             let mut metrics_addr = None;
             let mut metrics_linger_ms = None;
-            let mut csr = true;
             let mut prop_index = true;
             let mut plan_cache = true;
             let mut adaptive = true;
@@ -325,8 +313,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     mmap = false;
                 } else if a == "--verify-checkpoint" {
                     verify = true;
-                } else if a == "--no-csr" {
-                    csr = false;
                 } else if a == "--no-prop-index" {
                     prop_index = false;
                 } else if a == "--no-plan-cache" {
@@ -422,7 +408,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                 metrics,
                 metrics_addr,
                 metrics_linger_ms,
-                csr,
                 prop_index,
                 plan_cache,
                 adaptive,
@@ -438,7 +423,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             let mut baseline = false;
             let mut first = false;
             let mut threads = 1;
-            let mut csr = true;
             let mut prop_index = true;
             let mut plan_cache = true;
             let mut adaptive = true;
@@ -449,7 +433,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     "--baseline" => baseline = true,
                     "--first" => first = true,
                     "--threads" => threads = parse_threads(&mut it)?,
-                    "--no-csr" => csr = false,
                     "--no-prop-index" => prop_index = false,
                     "--no-plan-cache" => plan_cache = false,
                     "--adaptive" => adaptive = parse_adaptive(&mut it)?,
@@ -465,7 +448,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     baseline,
                     first,
                     threads,
-                    csr,
                     prop_index,
                     plan_cache,
                     adaptive,
@@ -502,7 +484,6 @@ pub fn execute(cmd: Command) -> Result<Output> {
             metrics,
             metrics_addr,
             metrics_linger_ms,
-            csr,
             prop_index,
             plan_cache,
             adaptive,
@@ -529,7 +510,6 @@ pub fn execute(cmd: Command) -> Result<Output> {
             };
             let mut db = base
                 .with_threads(threads)
-                .with_csr(csr)
                 .with_prop_index(prop_index)
                 .with_plan_cache(plan_cache)
                 .with_adaptive(adaptive);
@@ -665,7 +645,6 @@ pub fn execute(cmd: Command) -> Result<Output> {
             baseline,
             first,
             threads,
-            csr,
             prop_index,
             plan_cache,
             adaptive,
@@ -680,7 +659,6 @@ pub fn execute(cmd: Command) -> Result<Output> {
                     profiles: true,
                     subgraphs: false,
                     threads,
-                    csr,
                     prop_index,
                 },
             );
@@ -691,7 +669,6 @@ pub fn execute(cmd: Command) -> Result<Output> {
             };
             opts.exhaustive = !first;
             opts.threads = threads;
-            opts.csr = csr;
             opts.prop_index = prop_index;
             opts.adaptive = adaptive;
             if plan_cache {
@@ -771,7 +748,6 @@ mod tests {
                 metrics: None,
                 metrics_addr: None,
                 metrics_linger_ms: None,
-                csr: true,
                 prop_index: true,
                 plan_cache: true,
                 adaptive: true,
@@ -781,10 +757,6 @@ mod tests {
                 verify: false,
             }
         );
-        assert!(matches!(
-            parse_args(&args(&["run", "p.gql", "--no-csr"])).unwrap(),
-            Command::Run { csr: false, .. }
-        ));
         assert!(matches!(
             parse_args(&args(&["run", "p.gql", "--data-dir", "/tmp/db", "--checkpoint"])).unwrap(),
             Command::Run {
@@ -840,7 +812,6 @@ mod tests {
             parse_args(&args(&["run", "p.gql", "--no-prop-index"])).unwrap(),
             Command::Run {
                 prop_index: false,
-                csr: true,
                 ..
             }
         ));
@@ -898,18 +869,6 @@ mod tests {
                 adaptive: false,
                 ..
             }
-        ));
-        assert!(matches!(
-            parse_args(&args(&[
-                "match",
-                "--graph",
-                "g",
-                "--pattern",
-                "p",
-                "--no-csr"
-            ]))
-            .unwrap(),
-            Command::Match { csr: false, .. }
         ));
         assert!(matches!(
             parse_args(&args(&["run", "p.gql", "--profile"])).unwrap(),
@@ -1008,7 +967,6 @@ mod tests {
                 first: true,
                 baseline: false,
                 threads: 1,
-                csr: true,
                 ..
             }
         ));
@@ -1057,14 +1015,13 @@ mod tests {
             r#"graph P { node x <label="A">; node y <label="B">; edge e (x, y); }"#,
         )
         .unwrap();
-        let run_match = |csr, prop_index| {
+        let run_match = |prop_index| {
             execute(Command::Match {
                 graph: gpath.to_string_lossy().into_owned(),
                 pattern: ppath.to_string_lossy().into_owned(),
                 baseline: false,
                 first: false,
                 threads: 2,
-                csr,
                 prop_index,
                 plan_cache: true,
                 adaptive: true,
@@ -1079,15 +1036,11 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let out = run_match(true, true).stdout;
+        let out = run_match(true).stdout;
         assert!(out.contains("matches: 1"), "{out}");
         assert!(out.contains("a1"), "{out}");
-        // --no-csr must produce the same match output.
-        let no_csr = run_match(false, true).stdout;
-        assert!(no_csr.contains("matches: 1"), "{no_csr}");
-        assert_eq!(strip_time(&no_csr), strip_time(&out));
-        // --no-prop-index likewise.
-        let no_prop = run_match(true, false).stdout;
+        // --no-prop-index must produce the same match output.
+        let no_prop = run_match(false).stdout;
         assert_eq!(strip_time(&no_prop), strip_time(&out));
 
         let sql_out = execute(Command::Sql {
@@ -1133,7 +1086,6 @@ mod tests {
                 metrics: None,
                 metrics_addr: None,
                 metrics_linger_ms: None,
-                csr: true,
                 prop_index: true,
                 plan_cache: true,
                 adaptive: true,
@@ -1198,7 +1150,6 @@ mod tests {
                 metrics: instrumented.then(|| metrics_path.to_string_lossy().into_owned()),
                 metrics_addr: instrumented.then(|| "127.0.0.1:0".to_string()),
                 metrics_linger_ms: None,
-                csr: true,
                 prop_index: true,
                 plan_cache: true,
                 adaptive: true,
@@ -1266,7 +1217,6 @@ mod tests {
             metrics: None,
             metrics_addr: None,
             metrics_linger_ms: None,
-            csr: true,
             prop_index: true,
             plan_cache: true,
             adaptive: true,
@@ -1292,7 +1242,6 @@ mod tests {
             metrics: None,
             metrics_addr: None,
             metrics_linger_ms: None,
-            csr: true,
             prop_index: true,
             plan_cache: true,
             adaptive: true,
@@ -1426,7 +1375,6 @@ mod tests {
                 baseline: false,
                 first: false,
                 threads: 1,
-                csr: true,
                 prop_index: true,
                 plan_cache: true,
                 adaptive: true,
@@ -1441,7 +1389,6 @@ mod tests {
                 baseline: false,
                 first: false,
                 threads: 1,
-                csr: true,
                 prop_index: true,
                 plan_cache: true,
                 adaptive: true,

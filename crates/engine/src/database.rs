@@ -232,7 +232,6 @@ impl Database {
     /// derived sections to be adopted.
     fn stored_options(&self) -> StoredOptions {
         StoredOptions {
-            csr: self.options.csr,
             prop_index: self.options.prop_index,
             profiles: true,
             radius: 1,
@@ -341,19 +340,6 @@ impl Database {
     /// setting.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.options.threads = threads;
-        self
-    }
-
-    /// Enables or disables the CSR adjacency snapshot on the indexes
-    /// this database builds (the CLI's `--no-csr` escape hatch; on by
-    /// default). Query results are identical either way — only the
-    /// kernels' memory layout changes. Changing the flag drops cached
-    /// (or checkpoint-adopted) indexes so everything in use matches it.
-    pub fn with_csr(mut self, csr: bool) -> Self {
-        if self.options.csr != csr {
-            self.drop_snapshots();
-        }
-        self.options.csr = csr;
         self
     }
 

@@ -42,8 +42,8 @@ pub enum LocalPruning {
     },
 }
 
-/// Counters from a stats-collecting retrieval pass
-/// ([`feasible_mates_stats_par`]). All quantities are logical (not
+/// Counters from one pattern node's retrieval pass
+/// ([`feasible_mates`]). All quantities are logical (not
 /// timing-dependent), so they are identical at every thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetrieveStats {
@@ -309,113 +309,8 @@ pub fn estimated_access(pattern: &Pattern, index: &GraphIndex, u: NodeId) -> u64
     est.ceil() as u64
 }
 
-/// Computes `Φ(u)` for one pattern node (retrieval + local pruning).
-fn mates_for(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-    u: NodeId,
-) -> (Vec<NodeId>, RetrieveAccess) {
-    let (base, access) = retrieve(pattern, g, index, u);
-    (mates_prune(pattern, g, index, pruning, u, base), access)
-}
-
-/// The local-pruning stage of [`mates_for`], shared with the access-path
-/// aware callers.
-fn mates_prune(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-    u: NodeId,
-    mut base: Vec<NodeId>,
-) -> Vec<NodeId> {
-    match pruning {
-        LocalPruning::NodeAttributes => base,
-        LocalPruning::Profiles { radius } => {
-            let pu = Profile::of_neighborhood(&pattern.graph, u, radius);
-            if index.has_profiles() && index.radius() == radius {
-                // Interned fast path: encode the pattern profile once;
-                // an unencodable profile contains a label absent from
-                // the data graph, so nothing can subsume it.
-                match index.interner().encode_profile(&pu) {
-                    Some(pid) => base.retain(|&v| pid.subsumed_by(index.id_profile(v))),
-                    None => base.clear(),
-                }
-                base
-            } else {
-                // Index lacks radius-`radius` profiles: compute data
-                // profiles on the fly (owned, but never cloned from the
-                // index).
-                base.retain(|&v| pu.subsumed_by(&Profile::of_neighborhood(g, v, radius)));
-                base
-            }
-        }
-        LocalPruning::Subgraphs { radius } => {
-            let nu = neighborhood_subgraph(&pattern.graph, u, radius);
-            base.retain(|&v| {
-                if index.has_neighborhoods() && index.radius() == radius {
-                    let nv = index.neighborhood(v);
-                    subgraph_isomorphic_anchored(&nu.graph, &nv.graph, (nu.center, nv.center))
-                } else {
-                    let nv = neighborhood_subgraph(g, v, radius);
-                    subgraph_isomorphic_anchored(&nu.graph, &nv.graph, (nu.center, nv.center))
-                }
-            });
-            base
-        }
-    }
-}
-
-/// Computes feasible mates `Φ(u)` for every pattern node.
-///
-/// Retrieval is by indexed access when the pattern node constrains the
-/// `label` attribute ("indexed access to the node attributes, followed by
-/// pruning using neighborhood subgraphs or profiles"), else by a scan.
-pub fn feasible_mates(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-) -> Vec<Vec<NodeId>> {
-    feasible_mates_par(pattern, g, index, pruning, 1)
-}
-
-/// [`feasible_mates`] with the per-pattern-node work spread across
-/// `threads` workers (`0` = available cores). Each `Φ(u)` is
-/// independent, so the result is identical for every thread count.
-pub fn feasible_mates_par(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-    threads: usize,
-) -> Vec<Vec<NodeId>> {
-    feasible_mates_access_par(pattern, g, index, pruning, threads).0
-}
-
-/// [`feasible_mates_par`] additionally reporting the per-pattern-node
-/// [`RetrieveAccess`] decision (which access path ran and how much it
-/// narrowed). The mates are identical to the plain path's.
-pub fn feasible_mates_access_par(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-    threads: usize,
-) -> (Vec<Vec<NodeId>>, Vec<RetrieveAccess>) {
-    let ids: Vec<NodeId> = pattern.graph.node_ids().collect();
-    let pairs =
-        gql_core::par_map_slice(&ids, threads, |&u| mates_for(pattern, g, index, pruning, u));
-    pairs.into_iter().unzip()
-}
-
-/// Like [`mates_for`] but attributing every pruned candidate to the
-/// filter that rejected it. Kept as a separate function (rather than an
-/// `Option<&mut ..>` parameter threaded through the hot path) so the
-/// un-instrumented kernel stays branch-free; the equivalence test below
-/// pins the two against each other.
+/// Computes `Φ(u)` for one pattern node (retrieval + local pruning),
+/// attributing every pruned candidate to the filter that rejected it.
 fn mates_for_stats(
     pattern: &Pattern,
     g: &Graph,
@@ -433,6 +328,9 @@ fn mates_for_stats(
         LocalPruning::Profiles { radius } => {
             let pu = Profile::of_neighborhood(&pattern.graph, u, radius);
             if index.has_profiles() && index.radius() == radius {
+                // Interned fast path: encode the pattern profile once;
+                // an unencodable profile contains a label absent from
+                // the data graph, so nothing can subsume it.
                 match index.interner().encode_profile(&pu) {
                     Some(pid) => base.retain(|&v| {
                         let pv = index.id_profile(v);
@@ -454,6 +352,9 @@ fn mates_for_stats(
                     }
                 }
             } else {
+                // Index lacks radius-`radius` profiles: compute data
+                // profiles on the fly (owned, but never cloned from the
+                // index).
                 base.retain(|&v| {
                     let keep = pu.subsumed_by(&Profile::of_neighborhood(g, v, radius));
                     if !keep {
@@ -484,34 +385,20 @@ fn mates_for_stats(
     (base, stats, access)
 }
 
-/// [`feasible_mates_par`] plus [`RetrieveStats`] attributing pruned
-/// candidates to the signature screen vs. the exact test. The mates are
-/// identical to the plain path's; the stats are identical at every
-/// thread count.
-pub fn feasible_mates_stats_par(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-    threads: usize,
-) -> (Vec<Vec<NodeId>>, RetrieveStats) {
-    let (mates, per_node, _) =
-        feasible_mates_stats_per_node(pattern, g, index, pruning, threads, None);
-    let mut stats = RetrieveStats::default();
-    for s in &per_node {
-        stats.absorb(s);
-    }
-    (mates, stats)
-}
-
-/// [`feasible_mates_stats_par`] keeping the counters *per pattern node*
-/// (for EXPLAIN trees and trace timelines) instead of pre-aggregated,
-/// along with each node's [`RetrieveAccess`] decision.
-/// With a [`TraceSink`] attached, each node's retrieval is additionally
-/// recorded as a `retrieve.node` complete event carrying candidates
-/// in/out, on whichever worker thread ran it. The mates and counters are
-/// identical to the plain paths' at every thread count.
-pub fn feasible_mates_stats_per_node(
+/// Computes feasible mates `Φ(u)` for every pattern node, with the
+/// per-pattern-node [`RetrieveStats`] (pruned candidates attributed to
+/// the signature screen vs. the exact test) and [`RetrieveAccess`]
+/// (which access path ran and how much it narrowed).
+///
+/// Retrieval is by indexed access when the pattern node constrains the
+/// `label` attribute ("indexed access to the node attributes, followed by
+/// pruning using neighborhood subgraphs or profiles"), else by a scan.
+/// Each `Φ(u)` is independent, so the work spreads across `threads`
+/// workers (`0` = available cores) and the result is identical for every
+/// thread count. With a [`TraceSink`] attached, each node's retrieval is
+/// additionally recorded as a `retrieve.node` complete event carrying
+/// candidates in/out, on whichever worker thread ran it.
+pub fn feasible_mates(
     pattern: &Pattern,
     g: &Graph,
     index: &GraphIndex,
@@ -664,6 +551,10 @@ mod tests {
         (p, g, idx)
     }
 
+    fn mates(p: &Pattern, g: &Graph, idx: &GraphIndex, pruning: LocalPruning) -> Vec<Vec<NodeId>> {
+        feasible_mates(p, g, idx, pruning, 1, None).0
+    }
+
     fn names(g: &Graph, vs: &[NodeId]) -> Vec<String> {
         vs.iter()
             .map(|&v| g.node(v).name.clone().unwrap())
@@ -675,7 +566,7 @@ mod tests {
     #[test]
     fn retrieve_by_node_attributes() {
         let (p, g, idx) = setup();
-        let m = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+        let m = mates(&p, &g, &idx, LocalPruning::NodeAttributes);
         assert_eq!(names(&g, &m[0]), ["A1", "A2"]);
         assert_eq!(names(&g, &m[1]), ["B1", "B2"]);
         assert_eq!(names(&g, &m[2]), ["C1", "C2"]);
@@ -687,7 +578,7 @@ mod tests {
     #[test]
     fn retrieve_by_subgraphs() {
         let (p, g, idx) = setup();
-        let m = feasible_mates(&p, &g, &idx, LocalPruning::Subgraphs { radius: 1 });
+        let m = mates(&p, &g, &idx, LocalPruning::Subgraphs { radius: 1 });
         assert_eq!(names(&g, &m[0]), ["A1"]);
         assert_eq!(names(&g, &m[1]), ["B1"]);
         assert_eq!(names(&g, &m[2]), ["C2"]);
@@ -698,7 +589,7 @@ mod tests {
     #[test]
     fn retrieve_by_profiles() {
         let (p, g, idx) = setup();
-        let m = feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
+        let m = mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
         assert_eq!(names(&g, &m[0]), ["A1"]);
         assert_eq!(names(&g, &m[1]), ["B1", "B2"]);
         assert_eq!(names(&g, &m[2]), ["C2"]);
@@ -710,7 +601,7 @@ mod tests {
     fn profile_pruning_without_precomputation() {
         let (p, g, _) = setup();
         let plain = GraphIndex::build(&g);
-        let m = feasible_mates(&p, &g, &plain, LocalPruning::Profiles { radius: 1 });
+        let m = mates(&p, &g, &plain, LocalPruning::Profiles { radius: 1 });
         assert_eq!(names(&g, &m[0]), ["A1"]);
         assert_eq!(names(&g, &m[1]), ["B1", "B2"]);
         assert_eq!(names(&g, &m[2]), ["C2"]);
@@ -729,12 +620,12 @@ mod tests {
             LocalPruning::Subgraphs { radius: 1 },
         ] {
             assert_eq!(
-                feasible_mates(&p, &g, &idx, pruning),
+                mates(&p, &g, &idx, pruning),
                 feasible_mates_reference(&p, &g, &idx, pruning),
                 "full index, {pruning:?}"
             );
             assert_eq!(
-                feasible_mates(&p, &g, &plain, pruning),
+                mates(&p, &g, &plain, pruning),
                 feasible_mates_reference(&p, &g, &plain, pruning),
                 "plain index, {pruning:?}"
             );
@@ -747,15 +638,15 @@ mod tests {
     fn unknown_pattern_label_empties_space() {
         let (_, g, idx) = setup();
         let p = Pattern::structural(gql_core::fixtures::labeled_path(&["A", "Z"]));
-        let fast = feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
+        let fast = mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
         let refr = feasible_mates_reference(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
         assert_eq!(fast, refr);
         assert!(fast.iter().all(|m| m.is_empty()));
     }
 
-    /// The stats-collecting path returns the same mates as the plain
-    /// path for every strategy, its counters add up, and the counters
-    /// are identical at every thread count.
+    /// The retrieval kernel returns the reference mates for every
+    /// strategy, its counters add up, and the counters are identical at
+    /// every thread count.
     #[test]
     fn stats_path_matches_plain_path() {
         let (p, g, idx) = setup();
@@ -767,22 +658,20 @@ mod tests {
                 LocalPruning::Profiles { radius: 2 },
                 LocalPruning::Subgraphs { radius: 1 },
             ] {
-                let mates = feasible_mates(&p, &g, index, pruning);
-                let (m1, s1) = feasible_mates_stats_par(&p, &g, index, pruning, 1);
-                assert_eq!(m1, mates, "{name} {pruning:?}");
-                assert_eq!(
-                    s1.candidates,
-                    s1.sig_rejected + s1.exact_rejected + s1.kept,
-                    "{name} {pruning:?}: counters must add up: {s1:?}"
-                );
-                assert_eq!(
-                    s1.kept as usize,
-                    mates.iter().map(Vec::len).sum::<usize>(),
-                    "{name} {pruning:?}"
-                );
+                let want = feasible_mates_reference(&p, &g, index, pruning);
+                let (m1, s1, _) = feasible_mates(&p, &g, index, pruning, 1, None);
+                assert_eq!(m1, want, "{name} {pruning:?}");
+                for (s, m) in s1.iter().zip(&m1) {
+                    assert_eq!(
+                        s.candidates,
+                        s.sig_rejected + s.exact_rejected + s.kept,
+                        "{name} {pruning:?}: counters must add up: {s:?}"
+                    );
+                    assert_eq!(s.kept as usize, m.len(), "{name} {pruning:?}");
+                }
                 for threads in [2, 8] {
-                    let (mt, st) = feasible_mates_stats_par(&p, &g, index, pruning, threads);
-                    assert_eq!(mt, mates, "{name} {pruning:?} threads={threads}");
+                    let (mt, st, _) = feasible_mates(&p, &g, index, pruning, threads, None);
+                    assert_eq!(mt, want, "{name} {pruning:?} threads={threads}");
                     assert_eq!(st, s1, "{name} {pruning:?} threads={threads}");
                 }
             }
@@ -790,32 +679,28 @@ mod tests {
         // An unencodable pattern profile (unknown label) must charge the
         // whole base to the signature screen.
         let zp = Pattern::structural(gql_core::fixtures::labeled_path(&["A", "Z"]));
-        let (zm, zs) =
-            feasible_mates_stats_par(&zp, &g, &idx, LocalPruning::Profiles { radius: 1 }, 1);
+        let (zm, zs, _) =
+            feasible_mates(&zp, &g, &idx, LocalPruning::Profiles { radius: 1 }, 1, None);
         assert!(zm.iter().all(|m| m.is_empty()));
-        assert_eq!(zs.candidates, zs.sig_rejected);
+        for s in &zs {
+            assert_eq!(s.candidates, s.sig_rejected);
+        }
     }
 
-    /// The per-node stats variant returns the same mates, its counters
-    /// sum to the aggregate's, and an attached sink records one
-    /// retrieval event per pattern node.
+    /// An attached sink changes neither the mates nor the per-node
+    /// counters, and records one retrieval event per pattern node.
     #[test]
     fn per_node_stats_agree_with_aggregate_and_trace_records() {
         let (p, g, idx) = setup();
         let pruning = LocalPruning::Profiles { radius: 1 };
-        let (mates, agg) = feasible_mates_stats_par(&p, &g, &idx, pruning, 1);
+        let (mates, stats, access) = feasible_mates(&p, &g, &idx, pruning, 1, None);
         for threads in [1, 2, 8] {
             let sink = gql_core::TraceSink::new();
-            let (m, per_node, access) =
-                feasible_mates_stats_per_node(&p, &g, &idx, pruning, threads, Some(&sink));
-            assert_eq!(access.len(), p.node_count());
+            let (m, per_node, a) = feasible_mates(&p, &g, &idx, pruning, threads, Some(&sink));
             assert_eq!(m, mates, "threads={threads}");
+            assert_eq!(per_node, stats, "threads={threads}");
+            assert_eq!(a, access, "threads={threads}");
             assert_eq!(per_node.len(), p.node_count());
-            let mut sum = RetrieveStats::default();
-            for s in &per_node {
-                sum.absorb(s);
-            }
-            assert_eq!(sum, agg, "threads={threads}");
             assert_eq!(sink.len(), p.node_count(), "one event per pattern node");
         }
     }
@@ -944,9 +829,9 @@ mod tests {
                 LocalPruning::NodeAttributes,
                 LocalPruning::Profiles { radius: 1 },
             ] {
-                let (probed, access) = feasible_mates_access_par(&p, &g, &indexed, pruning, 1);
-                let (scanned, scan_access) =
-                    feasible_mates_access_par(&p, &g, &scan_only, pruning, 1);
+                let (probed, ps, access) = feasible_mates(&p, &g, &indexed, pruning, 1, None);
+                let (scanned, ss, scan_access) =
+                    feasible_mates(&p, &g, &scan_only, pruning, 1, None);
                 assert_eq!(probed, scanned, "{preds:?} {pruning:?}");
                 assert_eq!(access[0].path, want_path, "{preds:?}");
                 assert_eq!(scan_access[0].path, AccessPath::BucketScan, "{preds:?}");
@@ -954,16 +839,13 @@ mod tests {
                 assert_eq!(access[1].path, AccessPath::BucketScan);
                 for threads in [2, 8] {
                     assert_eq!(
-                        feasible_mates_par(&p, &g, &indexed, pruning, threads),
+                        feasible_mates(&p, &g, &indexed, pruning, threads, None).0,
                         probed,
                         "{preds:?} threads={threads}"
                     );
                 }
-                // Stats path agrees and counts candidates post-retrieve.
-                let (sm, ss) = feasible_mates_stats_par(&p, &g, &indexed, pruning, 1);
-                let (cm, cs) = feasible_mates_stats_par(&p, &g, &scan_only, pruning, 1);
-                assert_eq!(sm, cm, "{preds:?} {pruning:?}");
-                assert_eq!(ss, cs, "{preds:?} {pruning:?}");
+                // Counters agree and count candidates post-retrieve.
+                assert_eq!(ps, ss, "{preds:?} {pruning:?}");
             }
         }
     }
@@ -976,8 +858,8 @@ mod tests {
         let g = attr_graph();
         let idx = GraphIndex::build(&g);
         let p = probe_pattern(vec![Expr::node_attr_eq(0, "year", 2004)]);
-        let (mates, access) =
-            feasible_mates_access_par(&p, &g, &idx, LocalPruning::NodeAttributes, 1);
+        let (mates, _, access) =
+            feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None);
         assert_eq!(access[0].bucket, 30);
         assert_eq!(access[0].probed, mates[0].len() as u64);
         assert!(access[0].probed < access[0].bucket);
@@ -1000,8 +882,8 @@ mod tests {
     #[test]
     fn reduction_ratio_matches_hand_computation() {
         let (p, g, idx) = setup();
-        let base = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
-        let prof = feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
+        let base = mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+        let prof = mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
         let r = reduction_ratio(search_space_ln(&prof), search_space_ln(&base));
         assert!((r - 2.0 / 8.0).abs() < 1e-12);
     }
@@ -1009,7 +891,7 @@ mod tests {
     #[test]
     fn empty_space_is_neg_infinity() {
         let (p, g, idx) = setup();
-        let mut m = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+        let mut m = mates(&p, &g, &idx, LocalPruning::NodeAttributes);
         m[1].clear();
         assert_eq!(search_space_ln(&m), f64::NEG_INFINITY);
         assert_eq!(reduction_ratio(f64::NEG_INFINITY, f64::NEG_INFINITY), 1.0);

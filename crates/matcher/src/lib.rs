@@ -13,7 +13,11 @@
 //! The entry point is [`match_pattern`], which runs the full pipeline
 //! with per-phase instrumentation; [`MatchOptions::baseline`] /
 //! [`MatchOptions::optimized`] correspond to the configurations compared
-//! in the paper's experiments.
+//! in the paper's experiments. Each phase also has exactly one public
+//! kernel — [`feasible_mates`], [`refine_search_space`],
+//! [`optimize_order`] and [`search`] — all running on the index's
+//! [`gql_core::CsrGraph`] snapshot; [`feasible_mates_reference`] and
+//! [`refine_search_space_reference`] are the seed's oracles.
 //!
 //! ```
 //! use gql_core::fixtures::{figure_4_16_graph, figure_4_16_pattern};
@@ -42,10 +46,8 @@ pub mod snapshot;
 
 pub use expr::{BinOp, EvalCtx, EvalResult, Expr};
 pub use feasible::{
-    estimated_access, estimated_mates, feasible_mates, feasible_mates_access_par,
-    feasible_mates_par, feasible_mates_reference, feasible_mates_stats_par,
-    feasible_mates_stats_per_node, reduction_ratio, search_space_ln, AccessPath, LocalPruning,
-    RetrieveAccess, RetrieveStats,
+    estimated_access, estimated_mates, feasible_mates, feasible_mates_reference, reduction_ratio,
+    search_space_ln, AccessPath, LocalPruning, RetrieveAccess, RetrieveStats,
 };
 pub use index::{GraphIndex, IndexOptions, IndexParts};
 pub use matcher::{
@@ -58,10 +60,7 @@ pub use plan::{
     Planner, REFINE_SKIP_YIELD,
 };
 pub use refine::{
-    estimated_refine_cost, refine_search_space, refine_search_space_csr, refine_search_space_par,
-    refine_search_space_reference, refine_search_space_traced, RefineStats,
+    estimated_refine_cost, refine_search_space, refine_search_space_reference, RefineStats,
 };
-pub use search::{
-    search, search_indexed, search_indexed_with_checks, EdgeChecks, SearchConfig, SearchOutcome,
-};
+pub use search::{search, EdgeChecks, SearchConfig, SearchOutcome};
 pub use snapshot::GraphSnapshot;

@@ -3,16 +3,15 @@
 //! with per-step instrumentation for the §5 experiments.
 
 use crate::feasible::{
-    estimated_access, estimated_mates, feasible_mates_access_par, feasible_mates_par,
-    feasible_mates_stats_per_node, search_space_ln, AccessPath, LocalPruning, RetrieveAccess,
-    RetrieveStats,
+    estimated_access, estimated_mates, feasible_mates, search_space_ln, AccessPath, LocalPruning,
+    RetrieveAccess, RetrieveStats,
 };
 use crate::index::GraphIndex;
 use crate::order::{estimate_join_sizes, optimize_order, GammaMode, SearchOrder};
 use crate::pattern::Pattern;
 use crate::plan::{decide_refine_level, plan_key, CompiledPlan, Planner};
-use crate::refine::{estimated_refine_cost, refine_search_space_traced, RefineStats};
-use crate::search::{search_indexed_with_checks, EdgeChecks, SearchConfig, SearchOutcome};
+use crate::refine::{estimated_refine_cost, refine_search_space, RefineStats};
+use crate::search::{search, EdgeChecks, SearchConfig, SearchOutcome};
 use gql_core::plan::ShapeFeedback;
 use gql_core::{ArgValue, EdgeId, ExplainNode, Graph, NodeId, Obs, TraceSink};
 use std::sync::Arc;
@@ -71,9 +70,8 @@ pub struct MatchOptions {
     /// durations (`match.retrieve` / `match.refine` / `match.order` /
     /// `match.search`) and logical counters (retrieval pruning
     /// attribution, refinement work, search effort) into the registry.
-    /// `None` (the default) keeps the hot kernels on their
-    /// un-instrumented paths. The registry is shared, not per-query:
-    /// pass the same `Arc` across calls to aggregate.
+    /// `None` (the default) records nothing. The registry is shared,
+    /// not per-query: pass the same `Arc` across calls to aggregate.
     pub obs: Option<Arc<Obs>>,
     /// Trace sink: when set, the pipeline records per-phase complete
     /// events plus the fine-grained ones the phases emit themselves
@@ -86,13 +84,6 @@ pub struct MatchOptions {
     /// cardinalities, pruning ratios, and timings. `false` (the
     /// default) leaves [`MatchReport::explain`] as `None` at zero cost.
     pub explain: bool,
-    /// Whether *index builders* driven by these options (the engine's
-    /// collection index cache, the CLI's per-graph build) attach the
-    /// [`gql_core::CsrGraph`] snapshot. [`match_pattern`] itself only
-    /// reads whatever the index carries; with `false` (the `--no-csr`
-    /// escape hatch) every phase falls back to the `Vec`-adjacency
-    /// kernels with identical results.
-    pub csr: bool,
     /// Whether *index builders* driven by these options build the sorted
     /// secondary property index. [`match_pattern`] itself only reads
     /// whatever the index carries; with `false` (the `--no-prop-index`
@@ -140,7 +131,6 @@ impl Default for MatchOptions {
             obs: None,
             trace: None,
             explain: false,
-            csr: true,
             prop_index: true,
             planner: None,
             plan_graph: 0,
@@ -165,13 +155,6 @@ impl MatchOptions {
     /// The experiments' "Optimized": profiles + refinement + ordering.
     pub fn optimized() -> Self {
         MatchOptions::default()
-    }
-
-    /// True when any per-query instrumentation is attached (obs
-    /// registry, trace sink, or explain tree) — the pipeline then takes
-    /// the stats-collecting retrieval path.
-    pub fn instrumented(&self) -> bool {
-        self.obs.is_some() || self.trace.is_some() || self.explain
     }
 }
 
@@ -280,7 +263,9 @@ pub struct MatchReport {
 /// Runs the full §4 pipeline for `pattern` against `g`.
 ///
 /// `index` must have been built from `g`; reuse it across queries (that
-/// is its point). See [`GraphIndex::build_with_profiles`].
+/// is its point). See [`GraphIndex::build_with_profiles`] and
+/// [`GraphIndex::build_with`]. The phases are [`feasible_mates`],
+/// [`refine_search_space`], [`optimize_order`] and [`search`].
 pub fn match_pattern(
     pattern: &Pattern,
     g: &Graph,
@@ -290,36 +275,25 @@ pub fn match_pattern(
     let mut report = MatchReport::default();
     let trace = opts.trace.as_deref();
 
-    // Phase 1: feasible mates + local pruning (lines 1–4 of Alg. 4.1).
-    // With any instrumentation attached, the stats-collecting retrieval
-    // attributes every pruned candidate to signature vs. exact test and
-    // keeps the per-pattern-node breakdown; without it the branch-free
-    // kernel runs.
+    // Phase 1: feasible mates + local pruning (lines 1–4 of Alg. 4.1),
+    // attributing every pruned candidate to signature vs. exact test and
+    // recording the per-pattern-node breakdown and access paths.
     let t0 = Instant::now();
-    let (mut mates, per_node_stats, access) = if opts.instrumented() {
-        let (m, s, a) =
-            feasible_mates_stats_per_node(pattern, g, index, opts.pruning, opts.threads, trace);
-        (m, Some(s), a)
-    } else {
-        let (m, a) = feasible_mates_access_par(pattern, g, index, opts.pruning, opts.threads);
-        (m, None, a)
-    };
-    let retrieve_stats = per_node_stats.as_ref().map(|per_node| {
-        let mut agg = RetrieveStats::default();
-        for s in per_node {
-            agg.absorb(s);
-        }
-        agg
-    });
+    let (mut mates, per_node_stats, access) =
+        feasible_mates(pattern, g, index, opts.pruning, opts.threads, trace);
+    let mut retrieve_stats = RetrieveStats::default();
+    for s in &per_node_stats {
+        retrieve_stats.absorb(s);
+    }
     report.timings.retrieve = t0.elapsed();
-    if let (Some(sink), Some(agg)) = (trace, retrieve_stats.as_ref()) {
+    if let Some(sink) = trace {
         sink.complete(
             "match.retrieve",
             "match",
             t0,
             vec![
-                ("candidates", ArgValue::UInt(agg.candidates)),
-                ("kept", ArgValue::UInt(agg.kept)),
+                ("candidates", ArgValue::UInt(retrieve_stats.candidates)),
+                ("kept", ArgValue::UInt(retrieve_stats.kept)),
             ],
         );
     }
@@ -329,13 +303,17 @@ pub fn match_pattern(
     report.spaces.baseline_ln = if opts.pruning == LocalPruning::NodeAttributes {
         report.spaces.local_ln
     } else if opts.report_baseline_space {
-        search_space_ln(&feasible_mates_par(
-            pattern,
-            g,
-            index,
-            LocalPruning::NodeAttributes,
-            opts.threads,
-        ))
+        search_space_ln(
+            &feasible_mates(
+                pattern,
+                g,
+                index,
+                LocalPruning::NodeAttributes,
+                opts.threads,
+                None,
+            )
+            .0,
+        )
     } else {
         f64::NAN
     };
@@ -391,15 +369,8 @@ pub fn match_pattern(
     };
     let t1 = Instant::now();
     if level > 0 {
-        report.refine_stats = refine_search_space_traced(
-            pattern,
-            g,
-            index.csr(),
-            &mut mates,
-            level,
-            opts.threads,
-            trace,
-        );
+        report.refine_stats =
+            refine_search_space(pattern, index, &mut mates, level, opts.threads, trace);
     }
     report.timings.refine = t1.elapsed();
     report.spaces.refined_ln = search_space_ln(&mates);
@@ -522,15 +493,7 @@ pub fn match_pattern(
         steps,
         backtracks,
         timed_out,
-    } = search_indexed_with_checks(
-        pattern,
-        g,
-        Some(index),
-        checks_ref,
-        &mates,
-        &report.order,
-        &cfg,
-    );
+    } = search(pattern, g, index, checks_ref, &mates, &report.order, &cfg);
     report.timings.search = t3.elapsed();
     report.mappings = mappings;
     report.edge_bindings = edge_bindings;
@@ -624,7 +587,7 @@ pub fn match_pattern(
     }
 
     if let Some(obs) = &opts.obs {
-        flush_obs(obs, &report, retrieve_stats.as_ref(), &access);
+        flush_obs(obs, &report, &retrieve_stats, &access);
     }
     if opts.explain {
         report.explain = Some(build_explain(
@@ -632,7 +595,7 @@ pub fn match_pattern(
             opts,
             index,
             &report,
-            per_node_stats.as_deref().unwrap_or(&[]),
+            &per_node_stats,
             &access,
             &mates,
         ));
@@ -787,23 +750,16 @@ fn build_explain(
 /// all of them are deterministic for exhaustive runs at any thread
 /// count (capped/early-exit parallel runs may legitimately report more
 /// `search.steps`, as documented on [`SearchOutcome::steps`]).
-fn flush_obs(
-    obs: &Obs,
-    report: &MatchReport,
-    retrieve: Option<&crate::feasible::RetrieveStats>,
-    access: &[RetrieveAccess],
-) {
+fn flush_obs(obs: &Obs, report: &MatchReport, retrieve: &RetrieveStats, access: &[RetrieveAccess]) {
     obs.add("match.queries", 1);
     obs.record("match.retrieve", report.timings.retrieve);
     obs.record("match.refine", report.timings.refine);
     obs.record("match.order", report.timings.order);
     obs.record("match.search", report.timings.search);
-    if let Some(r) = retrieve {
-        obs.add("retrieve.candidates", r.candidates);
-        obs.add("retrieve.sig_rejected", r.sig_rejected);
-        obs.add("retrieve.exact_rejected", r.exact_rejected);
-        obs.add("retrieve.kept", r.kept);
-    }
+    obs.add("retrieve.candidates", retrieve.candidates);
+    obs.add("retrieve.sig_rejected", retrieve.sig_rejected);
+    obs.add("retrieve.exact_rejected", retrieve.exact_rejected);
+    obs.add("retrieve.kept", retrieve.kept);
     for a in access {
         let key = match a.path {
             AccessPath::BucketScan => "retrieve.bucket_scan",

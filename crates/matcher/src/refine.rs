@@ -29,92 +29,61 @@
 //! any thread count. [`refine_search_space_reference`] retains the
 //! seed's hashtable kernel as the equivalence oracle.
 //!
-//! With a [`CsrGraph`] snapshot ([`refine_search_space_csr`]) the
-//! data-side neighbor scans — the bipartite right side and the re-mark
-//! fan-out — walk one contiguous CSR row instead of chasing the
-//! `Vec<Vec<…>>` adjacency. Better: rows are label-sorted, and when all
-//! candidates of a pattern node share one interned label (the common
-//! case — labeled pattern nodes only admit same-label mates), the scan
-//! narrows to that label's sub-row; every skipped neighbor would have
-//! failed the `feasible` probe that follows. Neighbors are therefore
-//! *enumerated* in a different order and number than insertion order;
-//! that cannot change any observable: a pair's verdict is the existence
-//! of a semi-perfect matching (order-free, and right vertices without
-//! edges never matter), levels are synchronous, the mark table dedupes
-//! the worklist into a set, and every statistic is a count over those
-//! sets.
+//! Data-side neighbor scans — the bipartite right side and the re-mark
+//! fan-out — walk one contiguous row of the index's [`CsrGraph`]
+//! snapshot. Rows are label-sorted, and when all candidates of a pattern
+//! node share one interned label (the common case — labeled pattern
+//! nodes only admit same-label mates), the scan narrows to that label's
+//! sub-row; every skipped neighbor would have failed the `feasible`
+//! probe that follows. Neighbors are therefore *enumerated* in a
+//! different order and number than the oracle's insertion order; that
+//! cannot change any observable: a pair's verdict is the existence of a
+//! semi-perfect matching (order-free, and right vertices without edges
+//! never matter), levels are synchronous, the mark table dedupes the
+//! worklist into a set, and every statistic is a count over those sets.
 
 use crate::bipartite::{Bipartite, MatchingScratch};
+use crate::index::GraphIndex;
 use crate::pattern::Pattern;
 use gql_core::{ArgValue, CsrGraph, EdgeId, Graph, NodeId, TraceSink};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::time::Instant;
 
-/// The data graph's adjacency as seen by the refinement kernels: either
-/// the mutable-graph `Vec` adjacency or the flat CSR snapshot. Only
-/// incident *neighbor ids* are consumed, which both layouts provide for
-/// the same node set — so the kernel's verdicts are identical.
-///
-/// The CSR variant additionally carries one `Option<u32>` per pattern
-/// node: `Some(l)` when every current candidate of that pattern node
-/// carries interned label `l` (`IMPOSSIBLE_LABEL` when it has none).
-/// Since `feasible[pu]` only shrinks, any neighbor scan that feeds a
-/// `feasible[pu]` membership probe may then walk just the label-`l`
-/// sub-row — every skipped entry would have failed the probe anyway.
-#[derive(Clone, Copy)]
-enum DataAdj<'a> {
-    Vec(&'a Graph),
-    Csr(&'a CsrGraph, &'a [Option<u32>]),
-}
-
-impl DataAdj<'_> {
-    #[inline]
-    fn for_each_incident(&self, v: u32, mut f: impl FnMut(u32)) {
-        match self {
-            DataAdj::Vec(g) => {
-                for (w, _) in g.incident(NodeId(v)) {
-                    f(w.0);
-                }
-            }
-            DataAdj::Csr(c, _) => {
-                for e in c.incident(NodeId(v)) {
-                    f(e.node);
-                }
-            }
+/// Distinct incident neighbors of `v` that could be feasible mates of
+/// pattern node `pu`: the label-`l` sub-row when every current candidate
+/// of `pu` carries interned label `l` (`labels[pu] == Some(l)`), else the
+/// full row. Since `feasible[pu]` only shrinks, callers that follow with
+/// a `feasible[pu]` membership probe never miss a neighbor.
+#[inline]
+fn for_each_candidate(
+    csr: &CsrGraph,
+    labels: &[Option<u32>],
+    v: u32,
+    pu: usize,
+    mut f: impl FnMut(u32),
+) {
+    // Directed rows can list a node twice (in + out edge); duplicates
+    // are adjacent in the (label, node)-sorted row.
+    let mut prev = u32::MAX;
+    for e in label_row(csr, labels, v, pu) {
+        if e.node != prev {
+            prev = e.node;
+            f(e.node);
         }
     }
+}
 
-    /// Distinct incident neighbors of `v` that could be feasible mates
-    /// of pattern node `pu` — the full incident set for the `Vec`
-    /// layout, the label-filtered sub-row for CSR when `pu`'s candidate
-    /// label is known. Callers always follow with a `feasible[pu]`
-    /// membership probe, so over-approximating (Vec, unknown label) is
-    /// fine and under-approximating never happens.
-    #[inline]
-    fn for_each_candidate(&self, v: u32, pu: usize, mut f: impl FnMut(u32)) {
-        match self {
-            DataAdj::Vec(g) => {
-                for (w, _) in g.incident(NodeId(v)) {
-                    f(w.0);
-                }
-            }
-            DataAdj::Csr(c, labels) => {
-                let row = match labels[pu] {
-                    Some(l) => c.incident_with_label(NodeId(v), l),
-                    None => c.incident(NodeId(v)),
-                };
-                // Directed rows can list a node twice (in + out edge);
-                // duplicates are adjacent in the (label, node)-sorted
-                // row.
-                let mut prev = u32::MAX;
-                for e in row {
-                    if e.node != prev {
-                        prev = e.node;
-                        f(e.node);
-                    }
-                }
-            }
-        }
+/// The incident row of `v` narrowed to `pu`'s candidate label, if known.
+#[inline]
+fn label_row<'a>(
+    csr: &'a CsrGraph,
+    labels: &[Option<u32>],
+    v: u32,
+    pu: usize,
+) -> &'a [gql_core::CsrEntry] {
+    match labels[pu] {
+        Some(l) => csr.incident_with_label(NodeId(v), l),
+        None => csr.incident(NodeId(v)),
     }
 }
 
@@ -173,8 +142,8 @@ struct RefineScratch {
     right_pos: Vec<u32>,
     /// Distinct neighbors of the current `v`, in first-seen order.
     right_nodes: Vec<u32>,
-    /// `(left, right)` edge buffer for the CSR build, which discovers
-    /// the right-side size only after scanning the label sub-rows.
+    /// `(left, right)` edge buffer: the build discovers the right-side
+    /// size only after scanning the label sub-rows.
     edges: Vec<(u32, u32)>,
 }
 
@@ -191,60 +160,16 @@ impl RefineScratch {
 
     /// Does `B(u,v)` lack a semi-perfect matching against the
     /// level-(l−1) space in `feasible`? (True ⇒ remove the pair.)
+    ///
+    /// Per left vertex, only the sub-row that can contain its feasible
+    /// mates is scanned, and the per-left structure admits two
+    /// verdict-identical short-circuits: a left vertex with no feasible
+    /// mate fails the pair outright (no saturating matching can exist),
+    /// and a single left vertex is saturated by its first feasible mate
+    /// (no matching run needed). Neither changes the verdict, and
+    /// [`RefineStats`] counts pairs, not probes, so the statistics match
+    /// the oracle's exactly.
     fn pair_fails(
-        &mut self,
-        pattern: &Pattern,
-        adj: DataAdj<'_>,
-        feasible: &[BitSet],
-        u: u32,
-        v: u32,
-    ) -> bool {
-        let (csr, labels) = match adj {
-            DataAdj::Vec(_) => {
-                let np = pattern.incident(NodeId(u));
-                self.right_nodes.clear();
-                // Collect the distinct data-side neighbors of v
-                // (directed graphs can report a node as both in- and
-                // out-neighbor)…
-                adj.for_each_incident(v, |w| {
-                    let slot = &mut self.right_pos[w as usize];
-                    if *slot == u32::MAX {
-                        *slot = self.right_nodes.len() as u32;
-                        self.right_nodes.push(w);
-                    }
-                });
-                // …then build B(u,v) (Algorithm 4.2 lines 5–9) in the
-                // reusable buffers — a bit probe per (u', v') pair, no
-                // allocation.
-                self.bip.clear(np.len(), self.right_nodes.len());
-                for (li, &(pu, _)) in np.iter().enumerate() {
-                    let fs = &feasible[pu.index()];
-                    for (ri, &gw) in self.right_nodes.iter().enumerate() {
-                        if fs.contains(gw) {
-                            self.bip.add_edge(li, ri);
-                        }
-                    }
-                }
-                for &gw in &self.right_nodes {
-                    self.right_pos[gw as usize] = u32::MAX;
-                }
-                return !self.bip.has_semi_perfect_matching_with(&mut self.matching);
-            }
-            DataAdj::Csr(c, labels) => (c, labels),
-        };
-        self.pair_fails_csr(pattern, csr, labels, feasible, u, v)
-    }
-
-    /// [`RefineScratch::pair_fails`] over label sub-rows of the CSR
-    /// snapshot. Per left vertex, only the sub-row that can contain its
-    /// feasible mates is scanned, and the per-left structure admits two
-    /// verdict-identical short-circuits the collect-then-probe build
-    /// cannot express: a left vertex with no feasible mate fails the
-    /// pair outright (no saturating matching can exist), and a single
-    /// left vertex is saturated by its first feasible mate (no matching
-    /// run needed). Neither changes the verdict, and [`RefineStats`]
-    /// counts pairs, not probes, so the statistics stay byte-identical.
-    fn pair_fails_csr(
         &mut self,
         pattern: &Pattern,
         csr: &CsrGraph,
@@ -254,10 +179,7 @@ impl RefineScratch {
         v: u32,
     ) -> bool {
         let np = pattern.incident(NodeId(u));
-        let row = |pu: usize| match labels[pu] {
-            Some(l) => csr.incident_with_label(NodeId(v), l),
-            None => csr.incident(NodeId(v)),
-        };
+        let row = |pu: usize| label_row(csr, labels, v, pu);
         // Single left vertex: semi-perfect ⇔ any feasible mate exists
         // (duplicates in a full directed row don't matter to `any`).
         if let [(pu, _)] = np {
@@ -324,88 +246,45 @@ impl RefineScratch {
 }
 
 /// Runs Algorithm 4.2: refines `mates` in place for up to `level`
-/// synchronous iterations, returning statistics.
+/// synchronous iterations over the CSR snapshot of `index`, returning
+/// statistics. Each level's worklist spreads across `threads` workers
+/// (`0` = available cores); levels stay synchronous — every check reads
+/// the level-(l−1) space — so the refined space and all statistics are
+/// identical for every thread count. With a [`TraceSink`] attached, each
+/// performed level is recorded as a `refine.level[l]` complete event
+/// carrying its worklist size and removals; tracing only reads what the
+/// level loop already computes.
 pub fn refine_search_space(
     pattern: &Pattern,
-    g: &Graph,
-    mates: &mut [Vec<NodeId>],
-    level: usize,
-) -> RefineStats {
-    refine_search_space_par(pattern, g, mates, level, 1)
-}
-
-/// [`refine_search_space`] with each level's worklist spread across
-/// `threads` workers (`0` = available cores). Levels stay synchronous —
-/// every check reads the level-(l−1) space — so the refined space and
-/// all statistics are identical for every thread count.
-pub fn refine_search_space_par(
-    pattern: &Pattern,
-    g: &Graph,
-    mates: &mut [Vec<NodeId>],
-    level: usize,
-    threads: usize,
-) -> RefineStats {
-    refine_search_space_csr(pattern, g, None, mates, level, threads)
-}
-
-/// [`refine_search_space_par`] with an optional [`CsrGraph`] snapshot of
-/// `g`: when present, data-side neighbor scans run over contiguous CSR
-/// rows (see the module docs). The refined space and every statistic
-/// are identical with or without the snapshot, at any thread count.
-pub fn refine_search_space_csr(
-    pattern: &Pattern,
-    g: &Graph,
-    csr: Option<&CsrGraph>,
-    mates: &mut [Vec<NodeId>],
-    level: usize,
-    threads: usize,
-) -> RefineStats {
-    refine_search_space_traced(pattern, g, csr, mates, level, threads, None)
-}
-
-/// [`refine_search_space_csr`] with an optional [`TraceSink`]: each
-/// performed level is recorded as a `refine.level[l]` complete event
-/// carrying its worklist size and removals. The refined space and every
-/// statistic are identical with or without the sink — tracing only reads
-/// what the level loop already computes.
-pub fn refine_search_space_traced(
-    pattern: &Pattern,
-    g: &Graph,
-    csr: Option<&CsrGraph>,
+    index: &GraphIndex,
     mates: &mut [Vec<NodeId>],
     level: usize,
     threads: usize,
     trace: Option<&TraceSink>,
 ) -> RefineStats {
+    let csr = index.csr();
     // Per pattern node: the one interned label all its current
     // candidates share, if any (`IMPOSSIBLE_LABEL` for an empty
     // candidate set — no data node carries it, so label sub-rows come
     // back empty, exactly like probing an empty `feasible` set). Mixed
     // labels fall back to full-row scans (`None`).
-    let candidate_label: Option<Vec<Option<u32>>> = csr.map(|c| {
-        debug_assert_eq!(c.node_count(), g.node_count(), "snapshot of another graph?");
-        mates
-            .iter()
-            .map(|m| match m.split_first() {
-                None => Some(gql_core::IMPOSSIBLE_LABEL),
-                Some((first, rest)) => {
-                    let l = c.node_label(*first);
-                    rest.iter().all(|v| c.node_label(*v) == l).then_some(l)
-                }
-            })
-            .collect()
-    });
-    let adj = match (csr, &candidate_label) {
-        (Some(c), Some(labels)) => DataAdj::Csr(c, labels),
-        _ => DataAdj::Vec(g),
-    };
+    let labels: Vec<Option<u32>> = mates
+        .iter()
+        .map(|m| match m.split_first() {
+            None => Some(gql_core::IMPOSSIBLE_LABEL),
+            Some((first, rest)) => {
+                let l = csr.node_label(*first);
+                rest.iter().all(|v| csr.node_label(*v) == l).then_some(l)
+            }
+        })
+        .collect();
     let k = pattern.node_count();
     debug_assert_eq!(k, mates.len());
     let mut stats = RefineStats::default();
     if k == 0 || level == 0 {
         return stats;
     }
-    let n = g.node_count();
+    let n = csr.node_count();
 
     // Φ as one dense bitset per pattern node: O(1) membership probes
     // for the bipartite builds, O(k·n/64) words total.
@@ -454,10 +333,10 @@ pub fn refine_search_space_traced(
             worklist
                 .iter()
                 .copied()
-                .filter(|&(u, v)| scratch.pair_fails(pattern, adj, &feasible, u, v))
+                .filter(|&(u, v)| scratch.pair_fails(pattern, csr, &labels, &feasible, u, v))
                 .collect()
         } else {
-            check_level_parallel(pattern, adj, &feasible, &worklist, workers, n)
+            check_level_parallel(pattern, csr, &labels, &feasible, &worklist, workers)
         };
         stats.removed_per_level.push(removals.len() as u64);
         if let (Some(sink), Some(start)) = (trace, level_start) {
@@ -483,7 +362,7 @@ pub fn refine_search_space_traced(
         worklist.clear();
         for &(u, v) in &removals {
             for &(pu, _) in pattern.incident(NodeId(u)) {
-                adj.for_each_candidate(v, pu.index(), |gw| {
+                for_each_candidate(csr, &labels, v, pu.index(), |gw| {
                     let slot = pu.index() * n + gw as usize;
                     if feasible[pu.index()].contains(gw) && !marked[slot] {
                         marked[slot] = true;
@@ -507,11 +386,11 @@ pub fn refine_search_space_traced(
 /// one.
 fn check_level_parallel(
     pattern: &Pattern,
-    adj: DataAdj<'_>,
+    csr: &CsrGraph,
+    labels: &[Option<u32>],
     feasible: &[BitSet],
     worklist: &[(u32, u32)],
     workers: usize,
-    n: usize,
 ) -> Vec<(u32, u32)> {
     let workers = workers.min(worklist.len());
     let chunk = worklist.len().div_ceil(workers);
@@ -524,11 +403,11 @@ fn check_level_parallel(
                 let hi = ((w + 1) * chunk).min(worklist.len());
                 let slice = &worklist[lo..hi];
                 s.spawn(move || {
-                    let mut scratch = RefineScratch::new(n);
+                    let mut scratch = RefineScratch::new(csr.node_count());
                     slice
                         .iter()
                         .copied()
-                        .filter(|&(u, v)| scratch.pair_fails(pattern, adj, feasible, u, v))
+                        .filter(|&(u, v)| scratch.pair_fails(pattern, csr, labels, feasible, u, v))
                         .collect::<Vec<_>>()
                 })
             })
@@ -668,17 +547,17 @@ mod tests {
         let (g, _) = figure_4_16_graph();
         let p = Pattern::structural(figure_4_16_pattern());
         let idx = GraphIndex::build(&g);
-        let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+        let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
 
         // Level 1 only: A2 and C1 go, B2 survives (synchronous levels).
         let mut lvl1 = mates.clone();
-        refine_search_space(&p, &g, &mut lvl1, 1);
+        refine_search_space(&p, &idx, &mut lvl1, 1, 1, None);
         assert_eq!(names(&g, &lvl1[0]), ["A1"], "A2 removed at level 1");
         assert_eq!(names(&g, &lvl1[1]), ["B1", "B2"]);
         assert_eq!(names(&g, &lvl1[2]), ["C2"], "C1 removed at level 1");
 
         // Level 2 removes B2.
-        let stats = refine_search_space(&p, &g, &mut mates, 2);
+        let stats = refine_search_space(&p, &idx, &mut mates, 2, 1, None);
         assert_eq!(names(&g, &mates[0]), ["A1"]);
         assert_eq!(names(&g, &mates[1]), ["B1"]);
         assert_eq!(names(&g, &mates[2]), ["C2"]);
@@ -694,8 +573,8 @@ mod tests {
         let g = labeled_clique(&["A", "B", "C", "D"]);
         let p = Pattern::structural(labeled_clique(&["A", "B", "C"]));
         let idx = GraphIndex::build(&g);
-        let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
-        refine_search_space(&p, &g, &mut mates, 10);
+        let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
+        refine_search_space(&p, &idx, &mut mates, 10, 1, None);
         assert!(mates.iter().all(|m| m.len() == 1));
     }
 
@@ -706,8 +585,8 @@ mod tests {
         let g = labeled_path(&["A", "B", "C", "A", "B", "C"]);
         let p = Pattern::structural(labeled_clique(&["A", "B", "C"]));
         let idx = GraphIndex::build(&g);
-        let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
-        refine_search_space(&p, &g, &mut mates, 6);
+        let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
+        refine_search_space(&p, &idx, &mut mates, 6, 1, None);
         assert!(
             mates.iter().any(|m| m.is_empty()),
             "triangle must be refuted on a path: {mates:?}"
@@ -719,9 +598,9 @@ mod tests {
         let (g, _) = figure_4_16_graph();
         let p = Pattern::structural(figure_4_16_pattern());
         let idx = GraphIndex::build(&g);
-        let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+        let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
         let before = mates.clone();
-        let stats = refine_search_space(&p, &g, &mut mates, 0);
+        let stats = refine_search_space(&p, &idx, &mut mates, 0, 1, None);
         assert_eq!(mates, before);
         assert_eq!(stats, RefineStats::default());
     }
@@ -731,8 +610,8 @@ mod tests {
         let g = labeled_clique(&["A", "B", "C"]);
         let p = Pattern::structural(labeled_clique(&["A", "B", "C"]));
         let idx = GraphIndex::build(&g);
-        let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
-        let stats = refine_search_space(&p, &g, &mut mates, 100);
+        let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
+        let stats = refine_search_space(&p, &idx, &mut mates, 100, 1, None);
         assert!(
             stats.iterations <= 2,
             "stable space should break out early, ran {}",
@@ -760,8 +639,8 @@ mod tests {
         let data = mk(false);
         let idx = GraphIndex::build(&data);
         let p = Pattern::structural(mk(false));
-        let mut mates = feasible_mates(&p, &data, &idx, LocalPruning::NodeAttributes);
-        refine_search_space(&p, &data, &mut mates, 3);
+        let mut mates = feasible_mates(&p, &data, &idx, LocalPruning::NodeAttributes, 1, None).0;
+        refine_search_space(&p, &idx, &mut mates, 3, 1, None);
         assert!(mates.iter().all(|m| m.len() == 1));
     }
 
@@ -772,14 +651,13 @@ mod tests {
         let (g, _) = figure_4_16_graph();
         let p = Pattern::structural(figure_4_16_pattern());
         let idx = GraphIndex::build(&g);
-        let base = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+        let base = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
         let mut plain = base.clone();
-        let plain_stats = refine_search_space_csr(&p, &g, idx.csr(), &mut plain, 4, 1);
+        let plain_stats = refine_search_space(&p, &idx, &mut plain, 4, 1, None);
         for threads in [1, 2, 8] {
             let sink = gql_core::TraceSink::new();
             let mut traced = base.clone();
-            let stats =
-                refine_search_space_traced(&p, &g, idx.csr(), &mut traced, 4, threads, Some(&sink));
+            let stats = refine_search_space(&p, &idx, &mut traced, 4, threads, Some(&sink));
             assert_eq!(traced, plain, "threads={threads}");
             assert_eq!(stats, plain_stats, "threads={threads}");
             assert_eq!(
@@ -811,23 +689,14 @@ mod tests {
         for (g, p) in &cases {
             let idx = GraphIndex::build(g);
             for level in [1, 2, 4, 8] {
-                let base = feasible_mates(p, g, &idx, LocalPruning::NodeAttributes);
+                let base = feasible_mates(p, g, &idx, LocalPruning::NodeAttributes, 1, None).0;
                 let mut expect = base.clone();
                 let expect_stats = refine_search_space_reference(p, g, &mut expect, level);
                 for threads in [1, 2, 8] {
                     let mut got = base.clone();
-                    let stats = refine_search_space_par(p, g, &mut got, level, threads);
+                    let stats = refine_search_space(p, &idx, &mut got, level, threads, None);
                     assert_eq!(got, expect, "level={level} threads={threads}");
                     assert_eq!(stats, expect_stats, "level={level} threads={threads}");
-                    // The CSR row kernel must be observably identical too.
-                    let mut via_csr = base.clone();
-                    let csr_stats =
-                        refine_search_space_csr(p, g, idx.csr(), &mut via_csr, level, threads);
-                    assert_eq!(via_csr, expect, "csr level={level} threads={threads}");
-                    assert_eq!(
-                        csr_stats, expect_stats,
-                        "csr level={level} threads={threads}"
-                    );
                 }
             }
         }

@@ -36,15 +36,15 @@
 //!
 //! # Interned edge checks
 //!
-//! [`search_indexed`] accepts the data graph's [`GraphIndex`] and
-//! precomputes one [`EdgeCheck`] per pattern edge: a motif-edge `label`
-//! constraint becomes a single `u32` compare against the index's
-//! per-edge label-id table, executed *before* (and — when the label is
-//! the edge's only constraint — *instead of*) the `Value`-typed tuple
-//! subsumption and predicate evaluation. Label values intern to equal
-//! ids exactly when they are equal `Value`s, so the fast path accepts
-//! and rejects precisely the same data edges as
-//! [`Pattern::edge_feasible`].
+//! [`search`] runs against the data graph's [`GraphIndex`] and
+//! precomputes one [`EdgeCheck`] per pattern edge (or takes them
+//! precompiled from a plan cache): a motif-edge `label` constraint
+//! becomes a single `u32` compare against the index's per-edge label-id
+//! table, executed *before* (and — when the label is the edge's only
+//! constraint — *instead of*) the `Value`-typed tuple subsumption and
+//! predicate evaluation. Label values intern to equal ids exactly when
+//! they are equal `Value`s, so the fast path accepts and rejects
+//! precisely the same data edges as [`Pattern::edge_feasible`].
 //!
 //! When the index additionally carries a property index and a motif
 //! edge's pushed-down predicates are all attr-op-literal conjuncts, the
@@ -56,15 +56,13 @@
 //!
 //! # CSR edge probes
 //!
-//! When the index carries a [`CsrGraph`] snapshot, `Check`'s data-edge
-//! lookups run as binary searches over the CSR's label-sorted rows
-//! instead of [`Graph::edge_between`] hash probes. The probe verdicts —
-//! and therefore every mapping, step, and backtrack count — are
-//! identical; only the memory access pattern changes. The candidate
-//! enumeration itself is deliberately left untouched: pre-intersecting
-//! mate lists against CSR rows would change which candidates are
-//! *considered* (not which match), and the step/backtrack counters are
-//! part of the pipeline's observable, thread-count-invariant contract.
+//! `Check`'s data-edge lookups run as binary searches over the label-
+//! sorted rows of the index's [`CsrGraph`] snapshot; the probe verdicts
+//! equal [`Graph::edge_between`]'s. The candidate enumeration itself is
+//! deliberately left untouched: pre-intersecting mate lists against CSR
+//! rows would change which candidates are *considered* (not which
+//! match), and the step/backtrack counters are part of the pipeline's
+//! observable, thread-count-invariant contract.
 
 use crate::expr::Expr;
 use crate::feasible::intersect_sorted;
@@ -137,8 +135,8 @@ pub struct SearchOutcome {
 /// polls.
 const POLL_INTERVAL: u64 = 256;
 
-/// Per-pattern-edge check, precomputed once per search when a
-/// [`GraphIndex`] is available.
+/// Per-pattern-edge check, precomputed once per search (or per cached
+/// plan).
 #[derive(Debug, Clone, Copy)]
 struct EdgeCheck {
     /// Interned id the data edge's label must carry, or `None` when the
@@ -179,8 +177,8 @@ fn indexable_edge_probe(pred: &Expr, pe: EdgeId) -> Option<(&str, ProbeOp, &Valu
 /// The pattern-sized half of the per-edge plan: one [`EdgeCheck`] per
 /// pattern edge, plus the probe-derived allowed-edge id lists they point
 /// into. Owns no index data beyond those materialized lists, so a
-/// planner can cache it across searches and hand it back via
-/// [`search_indexed_with_checks`]; the checks stay valid as long as the
+/// planner can cache it across searches and hand it back to
+/// [`search`]; the checks stay valid as long as the
 /// index (whose interner encoded the label ids and whose property index
 /// answered the probes) does.
 #[derive(Debug, Clone, Default)]
@@ -303,11 +301,10 @@ struct Ctx<'a> {
     /// Root candidates explored at depth 0 (a sub-slice of
     /// `mates[order[0]]` under the parallel driver).
     roots: &'a [NodeId],
-    /// Interned edge-check plan (None without an index).
-    plan: Option<&'a EdgePlan<'a>>,
-    /// CSR snapshot of `g` for binary-search edge probes (None without
-    /// an index or when the index was built with `csr: false`).
-    csr: Option<&'a CsrGraph>,
+    /// Interned edge-check plan.
+    plan: &'a EdgePlan<'a>,
+    /// CSR snapshot of `g` for binary-search edge probes.
+    csr: &'a CsrGraph,
     /// Stop after this many mappings (checked after each push).
     take: usize,
     deadline: Option<Instant>,
@@ -365,18 +362,8 @@ fn check(
         } else {
             (v, mapped)
         };
-        // Same probe either way; the CSR variant is a binary search
-        // over `from`'s label-sorted row instead of a hash lookup.
-        let data_edge = match ctx.csr {
-            Some(csr) => csr.edge_between(from, to),
-            None => ctx.g.edge_between(from, to),
-        };
-        let feasible = |ge| match ctx.plan {
-            Some(plan) => plan.edge_ok(ctx.pattern, ctx.g, pe, ge),
-            None => ctx.pattern.edge_feasible(pe, ctx.g, ge),
-        };
-        match data_edge {
-            Some(ge) if feasible(ge) => {
+        match ctx.csr.edge_between(from, to) {
+            Some(ge) if ctx.plan.edge_ok(ctx.pattern, ctx.g, pe, ge) => {
                 edge_bind[pe.index()] = Some(ge);
                 touched.push(pe.0);
             }
@@ -498,42 +485,17 @@ fn run_roots(ctx: &Ctx<'_>, scratch: &mut Scratch) -> (SearchOutcome, bool) {
 }
 
 /// Runs the `Search(1)` recursion of Algorithm 4.1 over the given
-/// feasible mates and search order. With `cfg.threads != 1` the root
-/// candidates are partitioned across scoped workers; output is
-/// identical to the sequential run (see module docs).
+/// feasible mates and search order, probing data edges through `index`
+/// (which must have been built from `g`). `checks` are the per-edge
+/// checks precompiled for this `pattern` against this `index` (e.g. from
+/// a plan cache); `None` compiles them here — the outcome is identical
+/// either way. With `cfg.threads != 1` the root candidates are
+/// partitioned across scoped workers; output is identical to the
+/// sequential run (see module docs).
 pub fn search(
     pattern: &Pattern,
     g: &Graph,
-    mates: &[Vec<NodeId>],
-    order: &[usize],
-    cfg: &SearchConfig,
-) -> SearchOutcome {
-    search_indexed(pattern, g, None, mates, order, cfg)
-}
-
-/// [`search`] with the data graph's index: pattern-edge `label`
-/// constraints are checked by a single interned-id compare before (or
-/// instead of) the `Value`-typed tuple machinery. `index` must have
-/// been built from `g`; the outcome is identical to [`search`]'s.
-pub fn search_indexed(
-    pattern: &Pattern,
-    g: &Graph,
-    index: Option<&GraphIndex>,
-    mates: &[Vec<NodeId>],
-    order: &[usize],
-    cfg: &SearchConfig,
-) -> SearchOutcome {
-    search_indexed_with_checks(pattern, g, index, None, mates, order, cfg)
-}
-
-/// [`search_indexed`] with optionally precompiled [`EdgeChecks`] (e.g.
-/// from a plan cache); `None` compiles them here. The checks must have
-/// been built for this `pattern` against this `index`'s dictionary —
-/// the outcome is identical either way, compilation is just skipped.
-pub fn search_indexed_with_checks(
-    pattern: &Pattern,
-    g: &Graph,
-    index: Option<&GraphIndex>,
+    index: &GraphIndex,
     checks: Option<&EdgeChecks>,
     mates: &[Vec<NodeId>],
     order: &[usize],
@@ -551,18 +513,20 @@ pub fn search_indexed_with_checks(
     if mates.iter().any(|m| m.is_empty()) {
         return out;
     }
-    let built: Option<EdgeChecks> = match (index, checks) {
-        (Some(idx), None) => Some(EdgeChecks::build(pattern, idx)),
-        _ => None,
+    let built;
+    let checks = match checks {
+        Some(c) => c,
+        None => {
+            built = EdgeChecks::build(pattern, index);
+            &built
+        }
     };
-    let plan = index.and_then(|idx| {
-        checks.or(built.as_ref()).map(|c| EdgePlan {
-            checks: &c.checks,
-            allowed: &c.allowed,
-            data_edge_labels: idx.edge_label_ids(),
-        })
-    });
-    let csr = index.and_then(GraphIndex::csr);
+    let plan = EdgePlan {
+        checks: &checks.checks,
+        allowed: &checks.allowed,
+        data_edge_labels: index.edge_label_ids(),
+    };
+    let csr = index.csr();
 
     let roots: &[NodeId] = &mates[order[0]];
     // The sequential code stops once `mappings.len() >= cap` *after* a
@@ -578,7 +542,7 @@ pub fn search_indexed_with_checks(
             mates,
             order,
             roots,
-            plan: plan.as_ref(),
+            plan: &plan,
             csr,
             take,
             deadline: cfg.deadline,
@@ -592,16 +556,7 @@ pub fn search_indexed_with_checks(
         return out;
     }
     search_parallel(
-        pattern,
-        g,
-        mates,
-        order,
-        cfg,
-        plan.as_ref(),
-        csr,
-        roots,
-        take,
-        workers,
+        pattern, g, mates, order, cfg, &plan, csr, roots, take, workers,
     )
 }
 
@@ -638,8 +593,8 @@ fn search_parallel(
     mates: &[Vec<NodeId>],
     order: &[usize],
     cfg: &SearchConfig,
-    plan: Option<&EdgePlan<'_>>,
-    csr: Option<&CsrGraph>,
+    plan: &EdgePlan<'_>,
+    csr: &CsrGraph,
     roots: &[NodeId],
     take: usize,
     workers: usize,
@@ -753,9 +708,9 @@ mod tests {
 
     fn run(pattern: &Pattern, g: &Graph, cfg: &SearchConfig) -> SearchOutcome {
         let idx = GraphIndex::build(g);
-        let mates = feasible_mates(pattern, g, &idx, LocalPruning::NodeAttributes);
+        let mates = feasible_mates(pattern, g, &idx, LocalPruning::NodeAttributes, 1, None).0;
         let order: Vec<usize> = (0..pattern.node_count()).collect();
-        search(pattern, g, &mates, &order, cfg)
+        search(pattern, g, &idx, None, &mates, &order, cfg)
     }
 
     /// The edge-probe compiler actually fires for attr-op-literal edge
@@ -1009,13 +964,13 @@ mod tests {
         let g = labeled_clique(["A"; 10].as_slice());
         let p = Pattern::structural(labeled_clique(["A"; 8].as_slice()));
         let idx = GraphIndex::build(&g);
-        let mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+        let mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
         let order: Vec<usize> = (0..p.node_count()).collect();
         let cfg = SearchConfig {
             deadline: Some(Instant::now()),
             ..SearchConfig::default()
         };
-        let out = search(&p, &g, &mates, &order, &cfg);
+        let out = search(&p, &g, &idx, None, &mates, &order, &cfg);
         assert!(out.timed_out);
     }
 
@@ -1120,8 +1075,9 @@ mod tests {
     }
 
     /// The interned edge-check plan accepts/rejects exactly the data
-    /// edges `edge_feasible` does: labeled edges, unlabeled edges,
-    /// unknown motif labels, and label+predicate combinations.
+    /// edges `edge_feasible` does — labeled edges, unlabeled edges,
+    /// unknown motif labels, and label+predicate combinations — whether
+    /// compiled by the search or handed in precompiled.
     #[test]
     fn indexed_search_matches_plain_search() {
         let mut g = Graph::new();
@@ -1165,19 +1121,26 @@ mod tests {
         ];
         let expected = [3, 2, 0, 1, 2];
         for (p, want) in patterns.iter().zip(expected) {
-            let mates = feasible_mates(p, &g, &idx, LocalPruning::NodeAttributes);
+            let mates = feasible_mates(p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
             let order: Vec<usize> = (0..p.node_count()).collect();
             for threads in [1, 4] {
                 let cfg = SearchConfig {
                     threads,
                     ..SearchConfig::default()
                 };
-                let plain = search(p, &g, &mates, &order, &cfg);
-                let fast = search_indexed(p, &g, Some(&idx), &mates, &order, &cfg);
-                assert_eq!(fast.mappings, plain.mappings, "threads={threads}");
-                assert_eq!(fast.edge_bindings, plain.edge_bindings);
-                assert_eq!(fast.steps, plain.steps);
-                assert_eq!(plain.mappings.len(), want);
+                let fast = search(p, &g, &idx, None, &mates, &order, &cfg);
+                let checks = EdgeChecks::build(p, &idx);
+                let cached = search(p, &g, &idx, Some(&checks), &mates, &order, &cfg);
+                assert_eq!(fast.mappings, cached.mappings, "threads={threads}");
+                assert_eq!(fast.edge_bindings, cached.edge_bindings);
+                assert_eq!(fast.steps, cached.steps);
+                assert_eq!(fast.mappings.len(), want);
+                // Every bound data edge passes the `Value`-typed check.
+                for eb in &fast.edge_bindings {
+                    for (pe, &ge) in eb.iter().enumerate() {
+                        assert!(p.edge_feasible(EdgeId(pe as u32), &g, ge));
+                    }
+                }
             }
         }
     }
@@ -1195,10 +1158,10 @@ mod tests {
         let y = fwd.add_labeled_node("B");
         fwd.add_edge(x, y, Tuple::new().with("label", "x")).unwrap();
         let p = Pattern::structural(fwd);
-        let mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+        let mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
         let order = vec![0, 1];
         let cfg = SearchConfig::default();
-        let out = search_indexed(&p, &g, Some(&idx), &mates, &order, &cfg);
+        let out = search(&p, &g, &idx, None, &mates, &order, &cfg);
         assert_eq!(out.mappings.len(), 1);
     }
 
@@ -1216,7 +1179,7 @@ mod tests {
         let g = labeled_clique(["A"; 24].as_slice());
         let p = Pattern::structural(labeled_clique(["A"; 12].as_slice()));
         let idx = GraphIndex::build(&g);
-        let mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+        let mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
         let order: Vec<usize> = (0..p.node_count()).collect();
         for threads in [1, 8] {
             let cfg = SearchConfig {
@@ -1225,7 +1188,7 @@ mod tests {
                 ..SearchConfig::default()
             };
             let started = Instant::now();
-            let out = search(&p, &g, &mates, &order, &cfg);
+            let out = search(&p, &g, &idx, None, &mates, &order, &cfg);
             let elapsed = started.elapsed();
             assert!(out.timed_out, "threads={threads}");
             // Generous bound for slow CI machines; the pre-fix code blows
@@ -1243,14 +1206,14 @@ mod tests {
         let g = labeled_clique(["A"; 10].as_slice());
         let p = Pattern::structural(labeled_clique(["A"; 8].as_slice()));
         let idx = GraphIndex::build(&g);
-        let mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+        let mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
         let order: Vec<usize> = (0..p.node_count()).collect();
         let cfg = SearchConfig {
             deadline: Some(Instant::now()),
             threads: 4,
             ..SearchConfig::default()
         };
-        let out = search(&p, &g, &mates, &order, &cfg);
+        let out = search(&p, &g, &idx, None, &mates, &order, &cfg);
         assert!(out.timed_out);
     }
 }

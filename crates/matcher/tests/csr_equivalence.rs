@@ -1,16 +1,25 @@
-//! CSR snapshot ↔ Vec-adjacency equivalence suite.
+//! CSR snapshot ↔ seed-oracle equivalence suite.
 //!
-//! The CSR snapshot ([`gql_core::CsrGraph`]) is a pure access-method
-//! swap: every observable — adjacency rows, edge probes, BFS layers,
-//! neighborhood profiles, match results, and deterministic obs
-//! counters — must be byte-identical to the `Vec`-adjacency path at any
-//! thread count. These tests pin that contract on a zoo of fixtures:
-//! Erdős–Rényi, directed, clique-heavy, and mixed-label (some nodes
-//! unlabeled) graphs.
+//! The CSR snapshot ([`gql_core::CsrGraph`]) is the adjacency layout
+//! every pipeline phase runs on. These tests pin it against the mutable
+//! graph and the seed oracles on a zoo of fixtures — Erdős–Rényi,
+//! directed, clique-heavy, and mixed-label (some nodes unlabeled)
+//! graphs: adjacency rows, edge probes and BFS layers against `Graph`;
+//! index profiles against [`Profile::of_neighborhood`]; and the whole
+//! pipeline at threads 1/2/8 against [`feasible_mates_reference`],
+//! [`refine_search_space_reference`], the seed search recursion and
+//! [`gql_core::iso`].
 
-use gql_core::{CsrGraph, Graph, LabelInterner, NodeId, Obs, Tuple, NO_LABEL};
+mod common;
+
+use common::seed_search;
+use gql_core::{iso, CsrGraph, Graph, LabelInterner, NodeId, Obs, Profile, Tuple, NO_LABEL};
 use gql_datagen::{erdos_renyi, subgraph_queries, ErConfig};
-use gql_match::{match_pattern, GraphIndex, IndexOptions, MatchOptions, Pattern};
+use gql_match::{
+    feasible_mates, feasible_mates_reference, match_pattern, refine_search_space,
+    refine_search_space_reference, search_space_ln, GraphIndex, IndexOptions, LocalPruning,
+    MatchOptions, Pattern,
+};
 use std::collections::VecDeque;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -242,33 +251,32 @@ fn bfs_distances_match() {
 }
 
 /// Index profiles built from the CSR snapshot are byte-identical to the
-/// materializing `Profile::of_neighborhood` path, for both the interned
-/// and the `Value` form, at radius 1 and 2.
+/// materializing `Profile::of_neighborhood` path over the `Vec`
+/// adjacency, for both the interned and the `Value` form, at radius 1
+/// and 2 and every thread count.
 #[test]
 fn index_profiles_match_vec_path() {
     for (name, g) in fixtures() {
         for radius in [1, 2] {
             for threads in THREADS {
-                let opts = |csr| IndexOptions {
-                    radius,
-                    profiles: true,
-                    subgraphs: false,
-                    threads,
-                    csr,
-                    prop_index: true,
-                };
-                let with_csr = GraphIndex::build_with(&g, &opts(true));
-                let without = GraphIndex::build_with(&g, &opts(false));
-                assert!(with_csr.csr().is_some() && without.csr().is_none());
+                let index = GraphIndex::build_with(
+                    &g,
+                    &IndexOptions {
+                        radius,
+                        threads,
+                        ..IndexOptions::default()
+                    },
+                );
                 for v in g.node_ids() {
+                    let want = Profile::of_neighborhood(&g, v, radius);
                     assert_eq!(
-                        with_csr.id_profile(v),
-                        without.id_profile(v),
+                        Some(index.id_profile(v)),
+                        index.interner().encode_profile(&want).as_ref(),
                         "{name}/r{radius}/t{threads}: id profile of {v:?}"
                     );
                     assert_eq!(
-                        with_csr.profile(v),
-                        without.profile(v),
+                        index.profile(v),
+                        &want,
                         "{name}/r{radius}/t{threads}: profile of {v:?}"
                     );
                 }
@@ -297,71 +305,90 @@ fn queries_for(name: &str, g: &Graph) -> Vec<Graph> {
     }
 }
 
-/// End-to-end `match_pattern` identity: mappings, edge bindings, search
-/// order, step/backtrack counters, refinement stats, search-space
-/// accounting, and the full deterministic obs counter snapshot agree
-/// between CSR and `Vec`-adjacency indexes at threads 1, 2, and 8.
+/// End-to-end identity against the seed oracles at threads 1, 2 and 8:
+/// retrieved mates equal [`feasible_mates_reference`]; refined spaces
+/// and `RefineStats` equal [`refine_search_space_reference`];
+/// `match_pattern`'s spaces and refinement agree with both, its
+/// mappings, edge bindings, steps and backtracks equal the seed search
+/// over the oracle space in the pipeline's order, and its match count
+/// equals an unpruned seed search (and, on undirected fixtures,
+/// [`iso::subgraph_isomorphic`] agrees on whether any match exists).
+/// The deterministic obs counters are identical at every thread count.
 #[test]
 fn end_to_end_match_results_identical() {
+    let pruning = LocalPruning::Profiles { radius: 1 };
     for (name, g) in fixtures() {
         for (qi, q) in queries_for(name, &g).into_iter().enumerate() {
             let p = Pattern::structural(q);
-            let run = |csr: bool, threads: usize| {
+            let level = p.node_count();
+            let declared: Vec<usize> = (0..p.node_count()).collect();
+            let mut want_obs = None;
+            for threads in THREADS {
+                let tag = format!("{name} q{qi} t={threads}");
                 let index = GraphIndex::build_with(
                     &g,
                     &IndexOptions {
-                        radius: 1,
-                        profiles: true,
-                        subgraphs: false,
                         threads,
-                        csr,
-                        prop_index: true,
+                        ..IndexOptions::default()
                     },
                 );
+
+                let local = feasible_mates_reference(&p, &g, &index, pruning);
+                let (mut mates, _, _) = feasible_mates(&p, &g, &index, pruning, threads, None);
+                assert_eq!(mates, local, "{tag}: mates");
+                let mut refined = local.clone();
+                let want_stats = refine_search_space_reference(&p, &g, &mut refined, level);
+                let stats = refine_search_space(&p, &index, &mut mates, level, threads, None);
+                assert_eq!(mates, refined, "{tag}: refined space");
+                assert_eq!(stats, want_stats, "{tag}: refine stats");
+
                 let obs = Obs::new();
                 let opts = MatchOptions {
                     threads,
-                    csr,
                     obs: Some(obs.clone()),
                     ..MatchOptions::optimized()
                 };
                 let rep = match_pattern(&p, &g, &index, &opts);
-                (rep, obs.report())
-            };
-            let (want, want_obs) = run(false, 1);
-            for threads in THREADS {
-                for csr in [true, false] {
-                    let (got, got_obs) = run(csr, threads);
-                    let tag = format!("{name} q{qi} csr={csr} t={threads}");
-                    assert_eq!(got.mappings, want.mappings, "{tag}: mappings");
-                    assert_eq!(got.edge_bindings, want.edge_bindings, "{tag}: edges");
-                    assert_eq!(got.order, want.order, "{tag}: search order");
-                    assert_eq!(got.search_steps, want.search_steps, "{tag}: steps");
+                assert_eq!(rep.refine_stats, want_stats, "{tag}: pipeline refine");
+                assert_eq!(
+                    rep.spaces.local_ln.to_bits(),
+                    search_space_ln(&local).to_bits(),
+                    "{tag}: local space"
+                );
+                assert_eq!(
+                    rep.spaces.refined_ln.to_bits(),
+                    search_space_ln(&refined).to_bits(),
+                    "{tag}: refined space"
+                );
+                let seed = seed_search(&p, &g, &refined, &rep.order);
+                assert_eq!(rep.mappings, seed.mappings, "{tag}: mappings");
+                assert_eq!(rep.edge_bindings, seed.edge_bindings, "{tag}: edges");
+                assert_eq!(rep.search_steps, seed.steps, "{tag}: steps");
+                assert_eq!(rep.search_backtracks, seed.backtracks, "{tag}: backtracks");
+
+                let all = feasible_mates_reference(&p, &g, &index, LocalPruning::NodeAttributes);
+                let unpruned = seed_search(&p, &g, &all, &declared);
+                assert_eq!(
+                    rep.mappings.len(),
+                    unpruned.mappings.len(),
+                    "{tag}: match count"
+                );
+                if !g.is_directed() {
                     assert_eq!(
-                        got.search_backtracks, want.search_backtracks,
-                        "{tag}: backtracks"
+                        !rep.mappings.is_empty(),
+                        iso::subgraph_isomorphic(&p.graph, &g),
+                        "{tag}: iso existence"
                     );
-                    assert_eq!(got.refine_stats, want.refine_stats, "{tag}: refine");
-                    assert_eq!(
-                        got.spaces.baseline_ln.to_bits(),
-                        want.spaces.baseline_ln.to_bits(),
-                        "{tag}: baseline space"
-                    );
-                    assert_eq!(
-                        got.spaces.local_ln.to_bits(),
-                        want.spaces.local_ln.to_bits(),
-                        "{tag}: local space"
-                    );
-                    assert_eq!(
-                        got.spaces.refined_ln.to_bits(),
-                        want.spaces.refined_ln.to_bits(),
-                        "{tag}: refined space"
-                    );
-                    assert_eq!(got_obs.counters, want_obs.counters, "{tag}: obs counters");
-                    assert!(
-                        !got.mappings.is_empty() || name == "directed",
-                        "{tag}: matches"
-                    );
+                }
+                assert!(
+                    !rep.mappings.is_empty() || name == "directed",
+                    "{tag}: matches"
+                );
+
+                let counters = obs.report().counters;
+                match &want_obs {
+                    None => want_obs = Some(counters),
+                    Some(want) => assert_eq!(&counters, want, "{tag}: obs counters"),
                 }
             }
         }

@@ -5,23 +5,27 @@
 //! their *observable equivalence* to the seed implementations, which are
 //! kept alive as oracles: [`feasible_mates_reference`] (per-candidate
 //! `Value` profiles), [`refine_search_space_reference`] (hashtable
-//! kernel), and plain [`search`] (no edge-check plan). Every fixture is
-//! run through both pipelines at threads 1/2/8 and compared on
-//! mappings, edge bindings, search-space sizes, [`RefineStats`]
-//! (including `removed` and `bipartite_checks`), and `search_steps`.
+//! kernel), and the seed search recursion (`Graph::edge_between` probes
+//! with `Value`-typed edge checks, no index). Every fixture is run
+//! through both pipelines at threads 1/2/8 and compared on mappings,
+//! edge bindings, search-space sizes, [`RefineStats`] (including
+//! `removed` and `bipartite_checks`), and `search_steps`.
 
+mod common;
+
+use common::seed_search;
 use gql_core::fixtures::{figure_4_16_graph, figure_4_16_pattern, labeled_clique, labeled_path};
 use gql_core::Graph;
 use gql_datagen::{erdos_renyi, subgraph_queries, ErConfig};
 use gql_match::{
-    feasible_mates_reference, match_pattern, refine_search_space_reference, search,
-    search_space_ln, GraphIndex, LocalPruning, MatchOptions, Pattern, RefineStats, SearchConfig,
+    feasible_mates_reference, match_pattern, refine_search_space_reference, search_space_ln,
+    GraphIndex, IndexOptions, LocalPruning, MatchOptions, Pattern, RefineStats,
 };
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
 /// The seed pipeline, phase by phase, entirely on `Value`-typed
-/// oracles: reference retrieval → reference refinement → plain search
+/// oracles: reference retrieval → reference refinement → seed search
 /// in declaration order (fixed order keeps the comparison independent
 /// of the cost model's tie-breaking).
 struct SeedRun {
@@ -40,7 +44,7 @@ fn seed_pipeline(pattern: &Pattern, g: &Graph, index: &GraphIndex, level: usize)
     let refine_stats = refine_search_space_reference(pattern, g, &mut mates, level);
     let refined_ln = search_space_ln(&mates);
     let order: Vec<usize> = (0..pattern.node_count()).collect();
-    let out = search(pattern, g, &mates, &order, &SearchConfig::default());
+    let out = seed_search(pattern, g, &mates, &order);
     SeedRun {
         mappings: out.mappings,
         edge_bindings: out.edge_bindings,
@@ -57,7 +61,13 @@ fn seed_pipeline(pattern: &Pattern, g: &Graph, index: &GraphIndex, level: usize)
 fn assert_equivalent(pattern: &Pattern, g: &Graph, ctx: &str) {
     let level = pattern.node_count();
     for threads in THREADS {
-        let index = GraphIndex::build_with_profiles_par(g, 1, threads);
+        let index = GraphIndex::build_with(
+            g,
+            &IndexOptions {
+                threads,
+                ..IndexOptions::default()
+            },
+        );
         let seed = seed_pipeline(pattern, g, &index, level);
         let opts = MatchOptions {
             pruning: LocalPruning::Profiles { radius: 1 },

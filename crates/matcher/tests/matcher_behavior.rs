@@ -32,7 +32,7 @@ fn edge_probability_gamma_prefers_rare_labels() {
     pg.add_edge(py, pz, Tuple::new()).unwrap();
     let p = Pattern::structural(pg);
 
-    let mates = gql_match::feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+    let mates = gql_match::feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
     let so = optimize_order(
         &p,
         &mates,
@@ -160,8 +160,10 @@ fn profile_radius_two_works() {
     let idx = GraphIndex::build_with_profiles(&g, 2);
     let q = gql_datagen::subgraph_queries(&g, 5, 1, 13).pop().unwrap();
     let p = Pattern::structural(q);
-    let r1 = gql_match::feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
-    let r2 = gql_match::feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 2 });
+    let r1 =
+        gql_match::feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 }, 1, None).0;
+    let r2 =
+        gql_match::feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 2 }, 1, None).0;
     // Both must retain the query's own embedding; sizes may differ.
     let opts = MatchOptions::optimized();
     let rep = match_pattern(&p, &g, &idx, &opts);

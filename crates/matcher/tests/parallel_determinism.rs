@@ -6,8 +6,8 @@ use gql_core::fixtures::{figure_4_16_graph, figure_4_16_pattern, labeled_clique}
 use gql_core::Graph;
 use gql_datagen::{erdos_renyi, subgraph_queries, ErConfig};
 use gql_match::{
-    feasible_mates, match_pattern, search, GraphIndex, LocalPruning, MatchOptions, Pattern,
-    SearchConfig,
+    feasible_mates, match_pattern, search, GraphIndex, IndexOptions, LocalPruning, MatchOptions,
+    Pattern, SearchConfig,
 };
 use std::time::{Duration, Instant};
 
@@ -20,7 +20,13 @@ fn run(
     opts: &MatchOptions,
     threads: usize,
 ) -> gql_match::MatchReport {
-    let index = GraphIndex::build_with_profiles_par(g, 1, threads);
+    let index = GraphIndex::build_with(
+        g,
+        &IndexOptions {
+            threads,
+            ..IndexOptions::default()
+        },
+    );
     let opts = MatchOptions {
         threads,
         ..opts.clone()
@@ -122,7 +128,7 @@ fn deadline_propagates_across_workers() {
     let g = labeled_clique(&["A"; 24]);
     let p = Pattern::structural(labeled_clique(&["A"; 16]));
     let index = GraphIndex::build(&g);
-    let mates = feasible_mates(&p, &g, &index, LocalPruning::NodeAttributes);
+    let mates = feasible_mates(&p, &g, &index, LocalPruning::NodeAttributes, 1, None).0;
     let order: Vec<usize> = (0..p.node_count()).collect();
     for threads in [2, 8] {
         let cfg = SearchConfig {
@@ -131,7 +137,7 @@ fn deadline_propagates_across_workers() {
             ..SearchConfig::default()
         };
         let t = Instant::now();
-        let out = search(&p, &g, &mates, &order, &cfg);
+        let out = search(&p, &g, &index, None, &mates, &order, &cfg);
         assert!(out.timed_out, "threads={threads}");
         assert!(
             t.elapsed() < Duration::from_secs(5),
@@ -303,15 +309,23 @@ fn raw_search_layer_is_deterministic() {
     let g = labeled_clique(&["A", "A", "B", "B", "A"]);
     let p = Pattern::structural(labeled_clique(&["A", "B"]));
     let index = GraphIndex::build(&g);
-    let mates = feasible_mates(&p, &g, &index, LocalPruning::NodeAttributes);
+    let mates = feasible_mates(&p, &g, &index, LocalPruning::NodeAttributes, 1, None).0;
     let order: Vec<usize> = (0..p.node_count()).collect();
-    let seq = search(&p, &g, &mates, &order, &SearchConfig::default());
+    let seq = search(
+        &p,
+        &g,
+        &index,
+        None,
+        &mates,
+        &order,
+        &SearchConfig::default(),
+    );
     for threads in [0, 2, 8, 64] {
         let cfg = SearchConfig {
             threads,
             ..SearchConfig::default()
         };
-        let par = search(&p, &g, &mates, &order, &cfg);
+        let par = search(&p, &g, &index, None, &mates, &order, &cfg);
         assert_eq!(par.mappings, seq.mappings, "threads={threads}");
         assert_eq!(par.edge_bindings, seq.edge_bindings);
     }

@@ -8,15 +8,21 @@ use gql_core::fixtures::{figure_4_16_graph, figure_4_16_pattern, labeled_clique}
 use gql_core::Graph;
 use gql_datagen::{erdos_renyi, subgraph_queries, ErConfig};
 use gql_match::{
-    match_pattern, GraphIndex, LocalPruning, MatchOptions, MatchReport, Pattern, Planner,
-    RefineLevel,
+    match_pattern, GraphIndex, IndexOptions, LocalPruning, MatchOptions, MatchReport, Pattern,
+    Planner, RefineLevel,
 };
 use std::sync::Arc;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
 fn run(pattern: &Pattern, g: &Graph, opts: &MatchOptions, threads: usize) -> MatchReport {
-    let index = GraphIndex::build_with_profiles_par(g, 1, threads);
+    let index = GraphIndex::build_with(
+        g,
+        &IndexOptions {
+            threads,
+            ..IndexOptions::default()
+        },
+    );
     let opts = MatchOptions {
         threads,
         ..opts.clone()

@@ -354,7 +354,6 @@ fn assert_equivalent(tagbase: &str, g: &Graph, p: &Pattern) {
                 profiles: true,
                 subgraphs: false,
                 threads,
-                csr: true,
                 prop_index,
             },
         );

@@ -170,7 +170,7 @@ impl BulkLoader {
                 .collect(),
             node_label_ids: node_label_ids.into(),
             edge_label_ids: edge_label_ids.into(),
-            csr: options.csr.then_some(parts),
+            csr: parts,
             profile_offsets,
             profile_ids,
             radius: options.radius as usize,
@@ -272,7 +272,6 @@ mod tests {
 
     fn opts() -> StoredOptions {
         StoredOptions {
-            csr: true,
             prop_index: true,
             profiles: true,
             radius: 1,

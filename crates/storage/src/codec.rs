@@ -37,8 +37,6 @@ use std::sync::Arc;
 /// different flags knows to rebuild instead of adopting stale shapes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredOptions {
-    /// CSR snapshots were materialized.
-    pub csr: bool,
     /// Sorted property runs were built.
     pub prop_index: bool,
     /// Per-node profiles were precomputed.
@@ -240,7 +238,6 @@ impl SectionReader<'_> {
 /// Encodes a [`StoredOptions`] meta payload.
 pub fn encode_options(o: &StoredOptions) -> Vec<u8> {
     let mut out = Vec::with_capacity(8);
-    put_bool(&mut out, o.csr);
     put_bool(&mut out, o.prop_index);
     put_bool(&mut out, o.profiles);
     put_varint(&mut out, o.radius);
@@ -251,7 +248,6 @@ pub fn encode_options(o: &StoredOptions) -> Vec<u8> {
 pub fn decode_options(buf: &[u8]) -> Result<StoredOptions> {
     let mut pos = 0;
     let o = StoredOptions {
-        csr: get_bool(buf, &mut pos)?,
         prop_index: get_bool(buf, &mut pos)?,
         profiles: get_bool(buf, &mut pos)?,
         radius: get_varint(buf, &mut pos)?,
@@ -283,17 +279,11 @@ fn put_index_part<S: SectionSink + ?Sized>(out: &mut S, p: &IndexParts) {
     }
     put_u32_run(out, &p.node_label_ids);
     put_u32_run(out, &p.edge_label_ids);
-    match &p.csr {
-        None => out.put_byte(0),
-        Some(c) => {
-            out.put_byte(1);
-            put_bool(out, c.directed);
-            put_u32_run(out, &c.node_labels);
-            put_adjacency(out, &c.out);
-            put_adjacency(out, &c.inc);
-            put_adjacency(out, &c.all);
-        }
-    }
+    put_bool(out, p.csr.directed);
+    put_u32_run(out, &p.csr.node_labels);
+    put_adjacency(out, &p.csr.out);
+    put_adjacency(out, &p.csr.inc);
+    put_adjacency(out, &p.csr.all);
     put_u32_run(out, &p.profile_offsets);
     put_u32_run(out, &p.profile_ids);
     put_varint(out, p.radius as u64);
@@ -309,23 +299,12 @@ fn get_index_part(r: &SectionReader<'_>, pos: &mut usize) -> Result<IndexParts> 
     }
     let node_label_ids = r.get_u32_run(pos)?;
     let edge_label_ids = r.get_u32_run(pos)?;
-    let csr = match buf.get(*pos) {
-        Some(0) => {
-            *pos += 1;
-            None
-        }
-        Some(1) => {
-            *pos += 1;
-            Some(CsrParts {
-                directed: get_bool(buf, pos)?,
-                node_labels: r.get_u32_run(pos)?,
-                out: get_adjacency(r, pos)?,
-                inc: get_adjacency(r, pos)?,
-                all: get_adjacency(r, pos)?,
-            })
-        }
-        Some(_) => return Err(StorageError::Malformed("csr option tag").into()),
-        None => return Err(StorageError::Truncated.into()),
+    let csr = CsrParts {
+        directed: get_bool(buf, pos)?,
+        node_labels: r.get_u32_run(pos)?,
+        out: get_adjacency(r, pos)?,
+        inc: get_adjacency(r, pos)?,
+        all: get_adjacency(r, pos)?,
     };
     let profile_offsets = r.get_u32_run(pos)?;
     let profile_ids = r.get_u32_run(pos)?;
@@ -524,9 +503,8 @@ mod tests {
         {
             let a = &adopted[0];
             assert!(a.node_label_ids.is_mapped());
-            let csr = a.csr.as_ref().unwrap();
-            assert!(csr.out.offsets.is_mapped());
-            assert!(csr.out.entries.is_mapped());
+            assert!(a.csr.out.offsets.is_mapped());
+            assert!(a.csr.out.entries.is_mapped());
             assert!(a.profile_ids.is_mapped());
         }
     }
@@ -614,7 +592,6 @@ mod tests {
     #[test]
     fn options_round_trip() {
         let o = StoredOptions {
-            csr: true,
             prop_index: false,
             profiles: true,
             radius: 2,

@@ -45,7 +45,10 @@ pub const PAGE_SIZE: usize = 4096;
 const STREAM_BUF: usize = 64 * 1024;
 
 const MAGIC: &[u8; 4] = b"GSG1";
-const VERSION: u32 = 2;
+/// Format version. Version 3 dropped the optional-CSR tag from index
+/// sections (the CSR arrays are always present); older segments are
+/// rejected rather than misread.
+const VERSION: u32 = 3;
 const HEADER_LEN: usize = 20;
 
 /// One directory entry: a typed, named, checksummed payload span.
@@ -479,6 +482,7 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StoreError;
 
     fn sample() -> Vec<u8> {
         let mut b = SegmentBuilder::new();
@@ -596,5 +600,14 @@ mod tests {
         for cut in [0, 3, HEADER_LEN, HEADER_LEN + 5, PAGE_SIZE, bytes.len() - 1] {
             assert!(Segment::parse(bytes[..cut].to_vec()).is_err(), "cut {cut}");
         }
+        // A header from an older format version is rejected by name.
+        let mut old = bytes.clone();
+        old[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            Segment::parse(old),
+            Err(StoreError::Codec(StorageError::Malformed(
+                "segment version"
+            )))
+        ));
     }
 }

@@ -556,7 +556,6 @@ mod tests {
         let idx = GraphIndex::build_full(&g, 1);
         Snapshot {
             options: Some(StoredOptions {
-                csr: true,
                 prop_index: true,
                 profiles: true,
                 radius: 1,

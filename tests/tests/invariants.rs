@@ -103,9 +103,9 @@ proptest! {
         }
         let p = Pattern::structural(pg);
         let idx = GraphIndex::build_full(&g, 1);
-        let by_attr = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
-        let by_prof = feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
-        let by_sub = feasible_mates(&p, &g, &idx, LocalPruning::Subgraphs { radius: 1 });
+        let by_attr = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
+        let by_prof = feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 }, 1, None).0;
+        let by_sub = feasible_mates(&p, &g, &idx, LocalPruning::Subgraphs { radius: 1 }, 1, None).0;
         for u in 0..p.node_count() {
             for v in &by_prof[u] {
                 prop_assert!(by_attr[u].contains(v), "profiles ⊆ attrs");

@@ -34,8 +34,8 @@ fn section_1_2_pruning_narrative() {
     let (g, ids) = figure_4_16_graph();
     let p = Pattern::structural(figure_4_16_pattern());
     let idx = GraphIndex::build(&g);
-    let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
-    gql_match::refine_search_space(&p, &g, &mut mates, p.node_count());
+    let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
+    gql_match::refine_search_space(&p, &idx, &mut mates, p.node_count(), 1, None);
     assert!(!mates[0].contains(&ids[1]), "A2 pruned");
     assert!(!mates[2].contains(&ids[4]), "C1 pruned");
     assert!(!mates[1].contains(&ids[3]), "B2 pruned after A2");
@@ -100,13 +100,13 @@ fn figure_4_17_search_spaces() {
     let (g, ids) = figure_4_16_graph();
     let p = Pattern::structural(figure_4_16_pattern());
     let idx = GraphIndex::build_full(&g, 1);
-    let by_nodes = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
+    let by_nodes = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes, 1, None).0;
     assert_eq!(by_nodes[0], vec![ids[0], ids[1]]);
     assert_eq!(by_nodes[1], vec![ids[2], ids[3]]);
     assert_eq!(by_nodes[2], vec![ids[4], ids[5]]);
-    let by_sub = feasible_mates(&p, &g, &idx, LocalPruning::Subgraphs { radius: 1 });
+    let by_sub = feasible_mates(&p, &g, &idx, LocalPruning::Subgraphs { radius: 1 }, 1, None).0;
     assert_eq!(by_sub, vec![vec![ids[0]], vec![ids[2]], vec![ids[5]]]);
-    let by_prof = feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
+    let by_prof = feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 }, 1, None).0;
     assert_eq!(
         by_prof,
         vec![vec![ids[0]], vec![ids[2], ids[3]], vec![ids[5]]]
